@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all check build test vet race smoke loadtest bench bench-pipeline \
-	bench-pipeline-check cover examples \
+	bench-pipeline-check perfbench-test cover examples \
 	experiments conformance conformance-update fuzz-smoke clean
 
 all: check
@@ -60,6 +60,12 @@ bench-pipeline:
 # CI bench-pipeline job runs this).
 bench-pipeline-check:
 	$(GO) run ./cmd/benchpipeline -o BENCH_pipeline_fresh.json -baseline BENCH_pipeline.json
+
+# The benchmark harness (perfbench/, its own module, not reached by the
+# root ./...): vet it and run its tests of the statistics, schedules and
+# span attribution.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

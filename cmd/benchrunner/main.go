@@ -2,7 +2,9 @@
 // engine's event hot path, and writes the results to a JSON file
 // (BENCH_runner.json by default) so the performance trajectory is
 // tracked across PRs: ns/op and allocs/op per benchmark, plus the
-// wall-clock speedup of a 64-run Monte Carlo batch at 4 workers vs 1.
+// wall-clock speedup of a 64-run Monte Carlo batch at 4 workers vs 1,
+// and the cost of a keyed compile-cache hit against a miss on a
+// 10^4-node model.
 //
 //	go run ./cmd/benchrunner -o BENCH_runner.json
 //
@@ -12,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,8 +25,10 @@ import (
 
 	"prophet/internal/builder"
 	"prophet/internal/estimator"
+	"prophet/internal/modelgen"
 	"prophet/internal/sim"
 	"prophet/internal/uml"
+	"prophet/internal/xmi"
 )
 
 // result is one benchmark's measurement.
@@ -56,6 +61,10 @@ type doc struct {
 	// query-mix model: what the closed-form fast path saves over the
 	// simulation batch a mean estimate of comparable confidence needs.
 	SpeedupAnalytic float64 `json:"speedup_analytic_vs_montecarlo_64"`
+	// CompileHitShare is the compile_keyed_hit_10k ns/op divided by the
+	// compile_keyed_miss_10k ns/op: what a repeat request on a stored
+	// model pays for its program, as a share of checking and compiling.
+	CompileHitShare float64 `json:"compile_keyed_hit_share_of_miss"`
 	Note            string  `json:"note"`
 }
 
@@ -115,6 +124,60 @@ func holdLoopModel() (*uml.Model, error) {
 	one.Chain("initial", "Hold", "final")
 	return mb.Build()
 }
+
+// compileCache measures the estimator's compile cache on a 10^4-node
+// generated model whose content address is known, as a server's model
+// store knows it: a keyed miss (check and compile), a keyed hit, and a
+// hit that hashes the model to find its key.
+func compileCache() ([]result, error) {
+	m, err := modelgen.Generate(modelgen.Params{Seed: 1, Nodes: 10000})
+	if err != nil {
+		return nil, err
+	}
+	key, err := xmi.Hash(m)
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	warm := estimator.New()
+	if _, err := warm.CompileKeyedCtx(ctx, key, m); err != nil {
+		return nil, err
+	}
+	miss := measure("compile_keyed_miss_10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e := estimator.New()
+			b.StartTimer()
+			if _, err := e.CompileKeyedCtx(ctx, key, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	hit := measure("compile_keyed_hit_10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := warm.CompileKeyedCtx(ctx, key, m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	hashed := measure("compile_hashed_hit_10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := warm.CompileCached(m); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	return []result{miss, hit, hashed}, nil
+}
+
+// maxCompileHitShare is the ceiling run enforces on
+// compile_keyed_hit_share_of_miss: a keyed compile-cache hit must cost at
+// most this share of a miss (it measures ~1e-5, a map lookup against
+// checking and compiling 10^4 nodes).
+const maxCompileHitShare = 0.05
 
 func run(out string, minAnalyticSpeedup float64) error {
 	runtime.GOMAXPROCS(runtime.NumCPU())
@@ -176,7 +239,11 @@ func run(out string, minAnalyticSpeedup float64) error {
 			"by lowered ns/op; analytic_query_mix runs one mode=analytic " +
 			"closed-form solve per op on the query-mix model, and " +
 			"speedup_analytic_vs_montecarlo_64 divides the sequential " +
-			"64-run MC batch ns/op by it.",
+			"64-run MC batch ns/op by it. compile_*_10k run the estimator's " +
+			"compile cache on a 10^4-node modelgen model (seed 1): a miss " +
+			"under a known key (check + compile), a hit under that key, " +
+			"and a hit that hashes the model for its key; " +
+			"compile_keyed_hit_share_of_miss is keyed hit ns/op over miss ns/op.",
 	}
 
 	d.Benchmarks = append(d.Benchmarks, measure("event_scheduling_1000_holds", func(b *testing.B) {
@@ -229,6 +296,15 @@ func run(out string, minAnalyticSpeedup float64) error {
 		d.SpeedupAnalytic = seq.NsPerOp / analytic.NsPerOp
 	}
 
+	cc, err := compileCache()
+	if err != nil {
+		return err
+	}
+	d.Benchmarks = append(d.Benchmarks, cc...)
+	if cc[0].NsPerOp > 0 {
+		d.CompileHitShare = cc[1].NsPerOp / cc[0].NsPerOp
+	}
+
 	f, err := os.Create(out)
 	if err != nil {
 		return err
@@ -242,10 +318,13 @@ func run(out string, minAnalyticSpeedup float64) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (gomaxprocs=%d, num_cpu=%d, 64-run Monte Carlo speedup at 4 workers: %.2fx, lowered vs interp: %.2fx, analytic vs MC-64: %.0fx)\n",
-		out, d.GOMAXPROCS, d.NumCPU, d.MonteCarloSpeedup4, d.SpeedupLowered, d.SpeedupAnalytic)
+	fmt.Printf("wrote %s (gomaxprocs=%d, num_cpu=%d, 64-run Monte Carlo speedup at 4 workers: %.2fx, lowered vs interp: %.2fx, analytic vs MC-64: %.0fx, keyed compile hit/miss: %.2g)\n",
+		out, d.GOMAXPROCS, d.NumCPU, d.MonteCarloSpeedup4, d.SpeedupLowered, d.SpeedupAnalytic, d.CompileHitShare)
 	if minAnalyticSpeedup > 0 && d.SpeedupAnalytic < minAnalyticSpeedup {
 		return fmt.Errorf("analytic speedup %.1fx is below the %.0fx floor", d.SpeedupAnalytic, minAnalyticSpeedup)
+	}
+	if d.CompileHitShare > maxCompileHitShare {
+		return fmt.Errorf("keyed compile-cache hit costs %.3g of a miss, above the %.3g ceiling", d.CompileHitShare, maxCompileHitShare)
 	}
 	return nil
 }

@@ -2,10 +2,10 @@ package estimator
 
 import (
 	"fmt"
+	"sync"
 
 	"prophet/internal/interp"
 	"prophet/internal/lower"
-	"prophet/internal/xmi"
 )
 
 // Backend selects the execution engine a simulation runs on.
@@ -51,48 +51,27 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendAuto, fmt.Errorf("estimator: unknown backend %q (want auto, interp or lowered)", s)
 }
 
-// loweredFor returns the lowered form of pr, lowering it on first use.
-// The cache is keyed by the model's canonical-XMI content hash
-// (xmi.Hash) — the same key the compile cache uses — NOT by program
-// identity: two programs compiled from identical content (Compile next
-// to CompileCached, or a recompile after cache eviction) share one
-// lowered program instead of lowering twice and holding two entries. A
-// per-pointer memo skips re-hashing a program seen before; content that
-// cannot be canonicalized lowers fresh, uncached, rather than risking
-// an identity-aliased stale hit.
-func (e *Estimator) loweredFor(pr *interp.Program) (lp *lower.Program, cached bool) {
-	e.lowMu.Lock()
-	defer e.lowMu.Unlock()
-	key, ok := e.lowKeys[pr]
-	if !ok {
-		var err error
-		key, err = xmi.Hash(pr.Model())
-		if err != nil {
-			return lower.Lower(pr), false
-		}
-		if e.lowKeys == nil {
-			e.lowKeys = map[*interp.Program]string{}
-		}
-		// The memo tracks live program pointers; reset it wholesale if it
-		// ever outgrows the lowered cache it fronts (a mutate-recompile
-		// loop leaves dead pointers behind).
-		if len(e.lowKeys) >= 2*maxCachedPrograms {
-			e.lowKeys = map[*interp.Program]string{}
-		}
-		e.lowKeys[pr] = key
-	}
-	if lp, ok := e.lowered[key]; ok {
-		return lp, true
-	}
-	lp = lower.Lower(pr)
-	if e.lowered == nil {
-		e.lowered = map[string]*lower.Program{}
-	}
-	e.lowered[key] = lp
-	e.lowOrder = append(e.lowOrder, key)
-	for len(e.lowOrder) > maxCachedPrograms {
-		delete(e.lowered, e.lowOrder[0])
-		e.lowOrder = e.lowOrder[1:]
-	}
-	return lp, false
+// Compiled is a checked, compiled model ready for repeated evaluation:
+// the interp program plus its lowered program, built on first lowered
+// run. A compile-cache entry therefore lowers at most once and drops its
+// lowering when evicted; an uncached one (Compile, Estimate) keeps it as
+// long as its holder does.
+type Compiled struct {
+	prog    *interp.Program
+	lowOnce sync.Once
+	low     *lower.Program
+}
+
+// lowerProgram lowers a compiled program; tests substitute it to watch
+// every lowering.
+var lowerProgram = lower.Lower
+
+// lowered returns c's lowered program; built reports whether this call
+// lowered it.
+func (c *Compiled) lowered() (lp *lower.Program, built bool) {
+	c.lowOnce.Do(func() {
+		c.low = lowerProgram(c.prog)
+		built = true
+	})
+	return c.low, built
 }

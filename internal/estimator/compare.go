@@ -31,19 +31,21 @@ type Comparison struct {
 // decisions can be influenced without time-consuming modifications of
 // large portions of an implemented program" use case of the paper's
 // introduction. Both models are evaluated under req's parameters and
-// globals; req.Model is ignored.
-func (e *Estimator) CompareModels(a, b *uml.Model, req Request, counts []int) (*Comparison, error) {
+// globals; req.Model and req.ModelKey are ignored. keyA and keyB are the
+// models' compile-cache keys when the caller already holds their content
+// addresses (see Request.ModelKey); an empty key hashes its model.
+func (e *Estimator) CompareModels(a *uml.Model, keyA string, b *uml.Model, keyB string, req Request, counts []int) (*Comparison, error) {
 	if a == nil || b == nil {
 		return nil, fmt.Errorf("estimator: CompareModels needs two models")
 	}
 	reqA := req
-	reqA.Model = a
+	reqA.Model, reqA.ModelKey = a, keyA
 	ptsA, err := e.SweepProcesses(reqA, counts)
 	if err != nil {
 		return nil, fmt.Errorf("estimator: model %q: %w", a.Name(), err)
 	}
 	reqB := req
-	reqB.Model = b
+	reqB.Model, reqB.ModelKey = b, keyB
 	ptsB, err := e.SweepProcesses(reqB, counts)
 	if err != nil {
 		return nil, fmt.Errorf("estimator: model %q: %w", b.Name(), err)

@@ -18,7 +18,6 @@ import (
 
 	"prophet/internal/checker"
 	"prophet/internal/interp"
-	"prophet/internal/lower"
 	"prophet/internal/machine"
 	"prophet/internal/obs"
 	"prophet/internal/profile"
@@ -33,6 +32,11 @@ import (
 type Request struct {
 	// Model is the program's performance model.
 	Model *uml.Model
+	// ModelKey, when non-empty, is Model's content address (xmi.Hash) as
+	// the caller already holds it, e.g. a model-store id. The batch entry
+	// points use it as the compile-cache key instead of hashing Model; it
+	// must name Model's current content, or another model's program runs.
+	ModelKey string
 	// Params are the system parameters (SP). The zero value means one
 	// process on one single-processor node.
 	Params machine.SystemParams
@@ -153,10 +157,11 @@ func (r Request) pool(label string) runner.Options {
 	}
 }
 
-// maxCachedPrograms bounds the compiled-program cache: entries beyond it
-// are evicted oldest-first. Content-hash keys mean a model mutated in
-// place leaves its old entry unreachable, so the bound also caps how much
-// garbage a mutate-recompile loop can accumulate.
+// maxCachedPrograms bounds the compile cache: entries beyond it are
+// evicted oldest-first, each with its lowered program. Content-hash keys
+// mean a model mutated in place leaves its old entry unreachable, so the
+// bound also caps how much garbage a mutate-recompile loop can
+// accumulate.
 const maxCachedPrograms = 256
 
 // Estimator evaluates performance models.
@@ -164,23 +169,14 @@ type Estimator struct {
 	registry *profile.Registry
 	checker  *checker.Checker
 
-	// progMu guards progs/progOrder, the per-estimator compiled-program
-	// cache, keyed by the model's canonical-XMI content hash (xmi.Hash):
-	// batch entry points and the serving layer compile each distinct
-	// model content exactly once, and a model mutated in place hashes to
-	// a new key, so it is recompiled instead of served stale.
+	// progMu guards progs/progOrder, the per-estimator compile cache,
+	// keyed by the model's canonical-XMI content hash (xmi.Hash): batch
+	// entry points and the serving layer compile and lower each distinct
+	// model content once, and a model mutated in place hashes to a new
+	// key, so it is recompiled instead of served stale.
 	progMu    sync.Mutex
-	progs     map[string]*interp.Program
+	progs     map[string]*Compiled
 	progOrder []string // insertion order, for oldest-first eviction
-
-	// lowMu guards the lowered-program cache (see loweredFor), keyed by
-	// the model's content hash with a per-pointer memo: each distinct
-	// model content is lowered at most once, however many compiled
-	// program instances share it.
-	lowMu    sync.Mutex
-	lowKeys  map[*interp.Program]string
-	lowered  map[string]*lower.Program
-	lowOrder []string
 
 	// cacheHits/cacheMisses count CompileCached outcomes; metrics, when
 	// set, mirrors them into estimator_cache_{hits,misses}_total.
@@ -246,19 +242,20 @@ func (e *Estimator) Estimate(req Request) (*Estimate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("estimator: %w", err)
 	}
-	return e.runMode(pr, req, false, rec)
+	return e.runMode(&Compiled{prog: pr}, req, false, rec)
 }
 
 // Compile prepares a model once for repeated evaluation (parameter
-// sweeps).
-func (e *Estimator) Compile(m *uml.Model) (*interp.Program, error) {
+// sweeps). The result is not cached: it is lowered on its first lowered
+// run and keeps that lowering for as long as the caller keeps it.
+func (e *Estimator) Compile(m *uml.Model) (*Compiled, error) {
 	return e.compileCtx(context.Background(), m, "")
 }
 
 // compileCtx checks then compiles the model, recording "check" and
 // "compile" spans into the trace riding ctx (no-ops without one).
 // cacheAttr, when non-empty, annotates the compile span's cache outcome.
-func (e *Estimator) compileCtx(ctx context.Context, m *uml.Model, cacheAttr string) (*interp.Program, error) {
+func (e *Estimator) compileCtx(ctx context.Context, m *uml.Model, cacheAttr string) (*Compiled, error) {
 	_, sp := obs.StartSpan(ctx, "check")
 	rep := e.checker.Check(m)
 	sp.End()
@@ -274,7 +271,7 @@ func (e *Estimator) compileCtx(ctx context.Context, m *uml.Model, cacheAttr stri
 	if err != nil {
 		return nil, fmt.Errorf("estimator: %w", err)
 	}
-	return pr, nil
+	return &Compiled{prog: pr}, nil
 }
 
 // SetMetrics installs a registry that receives the estimator's cache
@@ -317,49 +314,56 @@ func (e *Estimator) cacheEvent(hit bool) {
 // not identity, a model mutated in place hashes to a new key and is
 // recompiled — the cache can never serve a stale program. The cache
 // holds at most maxCachedPrograms entries, evicting oldest-first.
-func (e *Estimator) CompileCached(m *uml.Model) (*interp.Program, error) {
-	return e.CompileCachedCtx(context.Background(), m)
+func (e *Estimator) CompileCached(m *uml.Model) (*Compiled, error) {
+	return e.CompileKeyedCtx(context.Background(), "", m)
 }
 
-// CompileCachedCtx is CompileCached with request tracing: when ctx
-// carries a trace span, a cache hit records a "compile" span annotated
-// cache=hit, and a miss records the real "check" and "compile" spans
-// (the latter annotated cache=miss) — so a request's span tree shows
-// whether it paid for compilation.
-func (e *Estimator) CompileCachedCtx(ctx context.Context, m *uml.Model) (*interp.Program, error) {
+// CompileKeyedCtx is CompileCached for a caller that may already hold
+// m's content address: a non-empty key (xmi.Hash of m) is the cache key
+// and m is not hashed again. Hashing re-encodes the whole model — several
+// times the cost of the check and compile it would save — so callers that
+// keep models by id, like the serving layer, pass it. When ctx carries a
+// trace span, a hit records a "compile" span annotated cache=hit, and a
+// miss records the real "check" and "compile" spans (the latter annotated
+// cache=miss), so a request's span tree shows whether it paid.
+func (e *Estimator) CompileKeyedCtx(ctx context.Context, key string, m *uml.Model) (*Compiled, error) {
 	if m == nil {
 		return nil, fmt.Errorf("estimator: nil model")
 	}
-	key, err := xmi.Hash(m)
-	if err != nil {
-		// A model that cannot be canonicalized cannot be content-addressed;
-		// compile it uncached rather than risking a stale identity hit.
-		return e.compileCtx(ctx, m, "uncacheable")
+	if key == "" {
+		var err error
+		if key, err = xmi.Hash(m); err != nil {
+			// A model that cannot be canonicalized cannot be
+			// content-addressed; compile it uncached rather than risking a
+			// stale identity hit.
+			return e.compileCtx(ctx, m, "uncacheable")
+		}
 	}
 	e.progMu.Lock()
-	pr, ok := e.progs[key]
+	c, ok := e.progs[key]
 	e.cacheEvent(ok)
 	e.progMu.Unlock()
 	if ok {
 		_, sp := obs.StartSpan(ctx, "compile")
 		sp.Annotate("cache", "hit")
 		sp.End()
-		return pr, nil
+		return c, nil
 	}
-	pr, err = e.compileCtx(ctx, m, "miss")
+	c, err := e.compileCtx(ctx, m, "miss")
 	if err != nil {
 		return nil, err
 	}
 	e.progMu.Lock()
 	if e.progs == nil {
-		e.progs = map[string]*interp.Program{}
+		e.progs = map[string]*Compiled{}
 	}
 	// A concurrent caller may have compiled the same content; keep the
-	// first program so every run of a batch uses one instance.
+	// first entry so every run of a batch shares one program and one
+	// lowering.
 	if prev, ok := e.progs[key]; ok {
-		pr = prev
+		c = prev
 	} else {
-		e.progs[key] = pr
+		e.progs[key] = c
 		e.progOrder = append(e.progOrder, key)
 		for len(e.progOrder) > maxCachedPrograms {
 			delete(e.progs, e.progOrder[0])
@@ -367,7 +371,7 @@ func (e *Estimator) CompileCachedCtx(ctx context.Context, m *uml.Model) (*interp
 		}
 	}
 	e.progMu.Unlock()
-	return pr, nil
+	return c, nil
 }
 
 // InvalidateCache drops the compiled program cached for m's current
@@ -400,8 +404,8 @@ func (e *Estimator) InvalidateCache(m *uml.Model) {
 }
 
 // EstimateCompiled evaluates a pre-compiled program.
-func (e *Estimator) EstimateCompiled(pr *interp.Program, req Request) (*Estimate, error) {
-	return e.run(pr, req)
+func (e *Estimator) EstimateCompiled(c *Compiled, req Request) (*Estimate, error) {
+	return e.runMode(c, req, false, obs.NewSpanRecorder())
 }
 
 // EstimateCompiledFast evaluates a pre-compiled program in fast mode:
@@ -409,19 +413,16 @@ func (e *Estimator) EstimateCompiled(pr *interp.Program, req Request) (*Estimate
 // Estimate.Summary are nil), the mode the batch loops use internally.
 // This is the hot path of the serving layer, which returns the makespan
 // and utilization but never ships a trace.
-func (e *Estimator) EstimateCompiledFast(pr *interp.Program, req Request) (*Estimate, error) {
-	return e.runMode(pr, req, true, obs.NewSpanRecorder())
-}
-
-func (e *Estimator) run(pr *interp.Program, req Request) (*Estimate, error) {
-	return e.runMode(pr, req, false, obs.NewSpanRecorder())
+func (e *Estimator) EstimateCompiledFast(c *Compiled, req Request) (*Estimate, error) {
+	return e.runMode(c, req, true, obs.NewSpanRecorder())
 }
 
 // runMode evaluates the program; fast mode skips trace collection and
 // summarization (Estimate.Trace/Summary are nil), which is what the
 // sweep and Monte Carlo loops want. rec accumulates the per-stage spans
 // reported as Estimate.Stages.
-func (e *Estimator) runMode(pr *interp.Program, req Request, fast bool, rec *obs.SpanRecorder) (*Estimate, error) {
+func (e *Estimator) runMode(c *Compiled, req Request, fast bool, rec *obs.SpanRecorder) (*Estimate, error) {
+	pr := c.prog
 	if req.Mode != ModeSimulate {
 		if est, err, handled := e.runAnalytic(pr, req, rec); handled {
 			return est, err
@@ -437,22 +438,25 @@ func (e *Estimator) runMode(pr *interp.Program, req Request, fast bool, rec *obs
 		NoTrace:  fast,
 		Context:  req.Context,
 	}
+	// Only telemetry observes the engine: metrics come from the run's own
+	// counters, so a metrics-only request keeps direct mode.
 	var simRec *sim.Recorder
-	if req.Telemetry || req.Metrics != nil {
+	if req.Telemetry {
 		simRec = sim.NewRecorder(req.MaxSamples)
 		cfg.Observer = simRec
 		cfg.SampleInterval = req.SampleInterval
 	}
 	// Resolve the backend before the simulate stage so lowering (a cheap
-	// one-time transform, cached per program) is visible as its own stage.
+	// one-time transform, kept with the compiled program) is visible as
+	// its own stage.
 	run := pr.Run
 	if req.Backend.effective() == BackendLowered {
 		_, ts, done := stage(req, rec, "lower")
-		lp, cached := e.loweredFor(pr)
-		if cached {
-			ts.Annotate("cache", "hit")
-		} else {
+		lp, built := c.lowered()
+		if built {
 			ts.Annotate("cache", "miss")
+		} else {
+			ts.Annotate("cache", "hit")
 		}
 		done()
 		run = lp.Run
@@ -472,14 +476,14 @@ func (e *Estimator) runMode(pr *interp.Program, req Request, fast bool, rec *obs
 		CPUUtilization: res.CPUUtilization,
 		Globals:        res.Globals,
 	}
-	if req.Telemetry && simRec != nil {
+	if simRec != nil {
 		est.Telemetry = &Telemetry{
 			Samples:     simRec.Samples(),
 			EventCounts: simRec.EventCounts(),
 		}
 	}
 	if fast {
-		e.finish(req, est, rec, simRec)
+		e.finish(req, est, rec, res, simRec)
 		return est, nil
 	}
 	_, _, done = stage(req, rec, "summarize")
@@ -498,13 +502,15 @@ func (e *Estimator) runMode(pr *interp.Program, req Request, fast bool, rec *obs
 	}
 	est.Trace = res.Trace
 	est.Summary = sum
-	e.finish(req, est, rec, simRec)
+	e.finish(req, est, rec, res, simRec)
 	return est, nil
 }
 
 // finish attaches the recorded stages to the estimate and, when the
-// request carries a metrics registry, publishes the run's metrics into it.
-func (e *Estimator) finish(req Request, est *Estimate, rec *obs.SpanRecorder, simRec *sim.Recorder) {
+// request carries a metrics registry, publishes the run's metrics into
+// it: res is the simulation run (nil for an analytic answer), simRec its
+// telemetry recorder (nil unless requested).
+func (e *Estimator) finish(req Request, est *Estimate, rec *obs.SpanRecorder, res *interp.Result, simRec *sim.Recorder) {
 	est.Stages = rec.Spans()
 	reg := req.Metrics
 	if reg == nil {
@@ -524,21 +530,22 @@ func (e *Estimator) finish(req Request, est *Estimate, rec *obs.SpanRecorder, si
 	for node, u := range est.CPUUtilization {
 		reg.GaugeVec("cpu_utilization", "node").With(fmt.Sprint(node)).Set(u)
 	}
+	if res == nil {
+		return
+	}
+	events := reg.CounterVec("sim_events_total", "kind")
+	counts := res.Stats.EventCounts().Map()
+	for _, kind := range sortedKeys(counts) {
+		events.With(kind).Add(counts[kind])
+	}
+	samples := reg.Counter("sim_samples_total")
 	if simRec != nil {
-		events := reg.CounterVec("sim_events_total", "kind")
-		counts := simRec.EventCounts()
-		for _, kind := range sortedKeys(counts) {
-			events.With(kind).Add(counts[kind])
-		}
-		samples := simRec.Samples()
-		reg.Counter("sim_samples_total").Add(int64(len(samples)))
-		if len(samples) > 0 {
-			last := samples[len(samples)-1]
-			util := reg.GaugeVec("facility_utilization", "facility")
-			for _, name := range sortedKeys(last.FacilityUtilization) {
-				util.With(name).Set(last.FacilityUtilization[name])
-			}
-		}
+		samples.Add(int64(len(est.Telemetry.Samples)))
+	}
+	util := reg.GaugeVec("facility_utilization", "facility")
+	facilities := res.Stats.FacilityUtilization()
+	for _, name := range sortedKeys(facilities) {
+		util.With(name).Set(facilities[name])
 	}
 }
 
@@ -592,7 +599,7 @@ type SweepPoint struct {
 // with the processes (one node per ProcessorsPerNode processes).
 func (e *Estimator) SweepProcesses(req Request, counts []int) ([]SweepPoint, error) {
 	done := req.Spans.Start("compile")
-	pr, err := e.CompileCachedCtx(req.ctx(), req.Model)
+	c, err := e.CompileKeyedCtx(req.ctx(), req.ModelKey, req.Model)
 	done()
 	if err != nil {
 		return nil, err
@@ -617,7 +624,7 @@ func (e *Estimator) SweepProcesses(req Request, counts []int) ([]SweepPoint, err
 			// fails fast, and carrying the job's trace span when the request
 			// is traced — so the simulate span nests under its sweep point.
 			r.Context = ctx
-			est, err := e.runMode(pr, r, true, obs.NewSpanRecorder())
+			est, err := e.runMode(c, r, true, obs.NewSpanRecorder())
 			if err != nil {
 				return SweepPoint{}, fmt.Errorf("estimator: sweep at %d processes: %w", procs, err)
 			}
@@ -663,7 +670,7 @@ type GlobalPoint struct {
 // SweepGlobal evaluates the model across values of one global variable.
 func (e *Estimator) SweepGlobal(req Request, name string, values []float64) ([]GlobalPoint, error) {
 	done := req.Spans.Start("compile")
-	pr, err := e.CompileCachedCtx(req.ctx(), req.Model)
+	c, err := e.CompileKeyedCtx(req.ctx(), req.ModelKey, req.Model)
 	done()
 	if err != nil {
 		return nil, err
@@ -678,7 +685,7 @@ func (e *Estimator) SweepGlobal(req Request, name string, values []float64) ([]G
 			}
 			r.Globals[name] = v
 			r.Context = ctx
-			est, err := e.runMode(pr, r, true, obs.NewSpanRecorder())
+			est, err := e.runMode(c, r, true, obs.NewSpanRecorder())
 			if err != nil {
 				return GlobalPoint{}, fmt.Errorf("estimator: sweep %s=%g: %w", name, v, err)
 			}

@@ -108,6 +108,6 @@ func (e *Estimator) runAnalytic(pr *interp.Program, req Request, rec *obs.SpanRe
 	if req.Metrics != nil {
 		req.Metrics.Counter("estimator_analytic_solves_total").Inc()
 	}
-	e.finish(req, est, rec, nil)
+	e.finish(req, est, rec, nil, nil)
 	return est, nil, true
 }

@@ -118,37 +118,3 @@ func TestEstimateModeAutoSolves(t *testing.T) {
 		t.Error("eligible auto request should be solved analytically")
 	}
 }
-
-// Regression test for the lowered-program cache key: two compiles of the
-// same model content yield distinct *interp.Program pointers, but the
-// second loweredFor call must hit the cache (keyed by content hash, not
-// pointer identity) and return the same lowered program.
-func TestLoweredCacheKeyedByContent(t *testing.T) {
-	e := New()
-	pr1, err := e.Compile(samples.Kernel6())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr2, err := e.Compile(samples.Kernel6())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr1 == pr2 {
-		t.Fatal("test needs two distinct compiled programs")
-	}
-	lp1, cached := e.loweredFor(pr1)
-	if cached {
-		t.Error("first lowering reported cached")
-	}
-	lp2, cached := e.loweredFor(pr2)
-	if !cached {
-		t.Error("same-content recompile missed the lowered cache")
-	}
-	if lp1 != lp2 {
-		t.Error("cache hit returned a different lowered program")
-	}
-	// Same pointer again stays a hit via the identity memo.
-	if _, cached := e.loweredFor(pr1); !cached {
-		t.Error("identical pointer missed the cache")
-	}
-}

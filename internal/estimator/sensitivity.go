@@ -48,7 +48,7 @@ func (e *Estimator) MonteCarloMakespans(req Request, runs int) ([]float64, error
 	if runs < 1 {
 		return nil, fmt.Errorf("estimator: monte carlo needs runs >= 1, got %d", runs)
 	}
-	pr, err := e.CompileCachedCtx(req.ctx(), req.Model)
+	c, err := e.CompileKeyedCtx(req.ctx(), req.ModelKey, req.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,7 @@ func (e *Estimator) MonteCarloMakespans(req Request, runs int) ([]float64, error
 			r := req
 			r.Seed = seeds[i]
 			r.Context = ctx
-			est, err := e.runMode(pr, r, true, obs.NewSpanRecorder())
+			est, err := e.runMode(c, r, true, obs.NewSpanRecorder())
 			if err != nil {
 				return 0, fmt.Errorf("estimator: monte carlo run %d: %w", i, err)
 			}
@@ -152,7 +152,7 @@ func (e *Estimator) Sensitivity(req Request, names []string, delta float64) (*Se
 	if delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("estimator: sensitivity delta must be in (0,1), got %g", delta)
 	}
-	pr, err := e.CompileCachedCtx(req.ctx(), req.Model)
+	c, err := e.CompileKeyedCtx(req.ctx(), req.ModelKey, req.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func (e *Estimator) Sensitivity(req Request, names []string, delta float64) (*Se
 				r.Globals[j.name] = j.value
 			}
 			r.Context = ctx
-			est, err := e.runMode(pr, r, true, obs.NewSpanRecorder())
+			est, err := e.runMode(c, r, true, obs.NewSpanRecorder())
 			if err != nil {
 				if i == 0 {
 					return 0, fmt.Errorf("estimator: sensitivity baseline: %w", err)

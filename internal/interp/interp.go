@@ -427,4 +427,15 @@ type Result struct {
 	CPUUtilization []float64
 	// Globals holds the final values of the global model variables.
 	Globals map[string]float64
+	// Stats reads the run's statistics on demand, so a run whose
+	// statistics nobody publishes builds nothing for them.
+	Stats RunStats
+}
+
+// RunStats reads a finished run's statistics as sim.Engine reports
+// them, with or without an Observer: lifecycle transitions by kind and
+// every facility's utilization at the end of the run.
+type RunStats interface {
+	EventCounts() sim.EventCounts
+	FacilityUtilization() map[string]float64
 }

@@ -150,6 +150,7 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 		Trace:    rs.trace,
 		Makespan: rs.finished,
 		Globals:  rs.globals,
+		Stats:    eng,
 	}
 	for n := 0; n < sp.Nodes; n++ {
 		res.CPUUtilization = append(res.CPUUtilization, mach.CPUUtilization(n))

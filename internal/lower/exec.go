@@ -52,6 +52,7 @@ type runtimeState struct {
 	prog     *Program
 	eng      *sim.Engine      // nil in direct mode
 	mach     *machine.Machine // nil in direct mode
+	params   machine.SystemParams
 	sp       map[string]float64
 	globals  []float64
 	extras   map[string]float64 // config globals with no declaration
@@ -64,11 +65,14 @@ type runtimeState struct {
 	finished float64
 
 	// Direct mode: the event queue degenerates to a clock accumulator and
-	// a CPU busy integral (the single process is the only facility user,
-	// so utilization is busy time over total time).
+	// busy integrals for the CPU and each critical section (the single
+	// process is the only facility user, so utilization is busy time over
+	// total time). holds counts the engine holds the run stands in for.
 	direct   bool
 	clock    float64
 	cpuBusy  float64
+	critBusy map[string]float64 // element ID -> busy time
+	holds    int64
 	ops      int64
 	ctx      context.Context
 	ctxCheck int
@@ -88,10 +92,13 @@ func (rt *runtimeState) critical(pid int, elemID string) *sim.Facility {
 	if f, ok := rt.crits[key]; ok {
 		return f
 	}
-	f := rt.eng.NewFacility("critical:"+key, 1)
+	f := rt.eng.NewFacility(criticalName(key), 1)
 	rt.crits[key] = f
 	return f
 }
+
+// criticalName names the facility of a "pid/elemID" critical section.
+func criticalName(key string) string { return "critical:" + key }
 
 // frame is the per-(process, thread) execution context: the slot-backed
 // variable frame plus the step counter.
@@ -320,6 +327,7 @@ func (fr *frame) hold(dt float64) {
 		fr.p.Hold(dt)
 		return
 	}
+	rt.holds++
 	if dt < 0 {
 		dt = 0
 	}
@@ -343,6 +351,7 @@ func (fr *frame) compute(dt float64) {
 	if dt <= 0 {
 		return
 	}
+	rt.holds++
 	start := rt.clock
 	end := start + dt
 	if end < start {
@@ -511,8 +520,13 @@ func (fr *frame) execAct(o *op) error {
 		}
 		if rt.direct {
 			// One process, one thread: the facility is always free, so
-			// Use degenerates to the hold.
+			// Use degenerates to the hold, busy for exactly its length.
+			start := rt.clock
 			fr.hold(cost)
+			if rt.critBusy == nil {
+				rt.critBusy = map[string]float64{}
+			}
+			rt.critBusy[o.id] += rt.clock - start
 		} else {
 			rt.critical(fr.pid, o.id).Use(fr.p, cost)
 		}
@@ -720,6 +734,7 @@ func (pr *Program) newRuntime(cfg interp.Config, sp machine.SystemParams, maxSte
 	}
 	rt := &runtimeState{
 		prog:     pr,
+		params:   sp,
 		sp:       sp.Env(),
 		globals:  make([]float64, len(pr.lay.globalNames)),
 		extras:   map[string]float64{},
@@ -792,12 +807,51 @@ func (pr *Program) runDirect(cfg interp.Config, sp machine.SystemParams, maxStep
 	if rt.clock > rt.finished {
 		rt.finished = rt.clock
 	}
-	return rt.result(sp, func(n int) float64 {
-		if n != 0 || rt.clock == 0 {
-			return 0
-		}
-		return rt.cpuBusy / (rt.clock * float64(sp.ProcessorsPerNode))
-	}), nil
+	res := rt.result(sp, rt.directCPU)
+	res.Stats = (*directStats)(rt)
+	return res, nil
+}
+
+// busyShare is the Facility.Utilization of a direct run's facility with
+// servers servers, busy for busy time units.
+func (rt *runtimeState) busyShare(busy float64, servers int) float64 {
+	if rt.clock == 0 {
+		return 0
+	}
+	return busy / (rt.clock * float64(servers))
+}
+
+// directCPU is node n's CPU utilization in a direct run: the lone process
+// runs on node 0.
+func (rt *runtimeState) directCPU(n int) float64 {
+	if n != 0 {
+		return rt.busyShare(0, rt.params.ProcessorsPerNode)
+	}
+	return rt.busyShare(rt.cpuBusy, rt.params.ProcessorsPerNode)
+}
+
+// directStats reads a direct run's statistics as the engine reports
+// them for the same lone process: one spawn, a dispatch per hold, and
+// node 0's CPU and each critical section busy for the time the process
+// spent in them, every other facility idle.
+type directStats runtimeState
+
+func (d *directStats) EventCounts() sim.EventCounts {
+	return sim.LoneProcessEventCounts(d.holds)
+}
+
+func (d *directStats) FacilityUtilization() map[string]float64 {
+	rt := (*runtimeState)(d)
+	sp := rt.params
+	out := make(map[string]float64, 2*sp.Nodes+len(rt.critBusy))
+	for n := 0; n < sp.Nodes; n++ {
+		out[machine.CPUFacility(n)] = rt.directCPU(n)
+		out[machine.NICFacility(n)] = rt.busyShare(0, 1)
+	}
+	for id, busy := range rt.critBusy {
+		out[criticalName("0/"+id)] = rt.busyShare(busy, 1)
+	}
+	return out
 }
 
 // runEngine replays the interpreter's engine choreography for the flat
@@ -876,5 +930,7 @@ func (pr *Program) runEngine(cfg interp.Config, sp machine.SystemParams, maxStep
 	}
 	annotate()
 
-	return rt.result(sp, mach.CPUUtilization), nil
+	res := rt.result(sp, mach.CPUUtilization)
+	res.Stats = eng
+	return res, nil
 }

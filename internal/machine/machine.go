@@ -25,6 +25,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"prophet/internal/sim"
 )
@@ -163,11 +164,11 @@ func NewWithPolicy(eng *sim.Engine, sp SystemParams, net NetParams, policy Polic
 	m := &Machine{eng: eng, sp: sp, net: net, policy: policy}
 	for n := 0; n < sp.Nodes; n++ {
 		if policy == PolicyPS {
-			m.psCpus = append(m.psCpus, eng.NewPSFacility(fmt.Sprintf("cpu.node%d", n), sp.ProcessorsPerNode))
+			m.psCpus = append(m.psCpus, eng.NewPSFacility(CPUFacility(n), sp.ProcessorsPerNode))
 		} else {
-			m.cpus = append(m.cpus, eng.NewFacility(fmt.Sprintf("cpu.node%d", n), sp.ProcessorsPerNode))
+			m.cpus = append(m.cpus, eng.NewFacility(CPUFacility(n), sp.ProcessorsPerNode))
 		}
-		m.nics = append(m.nics, eng.NewFacility(fmt.Sprintf("nic.node%d", n), 1))
+		m.nics = append(m.nics, eng.NewFacility(NICFacility(n), 1))
 	}
 	for p := 0; p < sp.Processes; p++ {
 		m.mbox = append(m.mbox, eng.NewMailbox(fmt.Sprintf("mbox.p%d", p)))
@@ -176,6 +177,12 @@ func NewWithPolicy(eng *sim.Engine, sp SystemParams, net NetParams, policy Polic
 	m.barrier = eng.NewBarrier("mpi_barrier", sp.Processes)
 	return m, nil
 }
+
+// CPUFacility names node n's processor facility.
+func CPUFacility(n int) string { return "cpu.node" + strconv.Itoa(n) }
+
+// NICFacility names node n's network-interface facility.
+func NICFacility(n int) string { return "nic.node" + strconv.Itoa(n) }
 
 // Params returns the system parameters the machine was built from.
 func (m *Machine) Params() SystemParams { return m.sp }

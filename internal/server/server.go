@@ -492,8 +492,10 @@ func writeEvalError(w http.ResponseWriter, err error) {
 
 // buildRequest converts the wire request to an estimator.Request bound
 // to ctx and the server's metrics registry, so every evaluation feeds the
-// per-stage latency histograms /metrics serves.
-func (s *Server) buildRequest(ctx context.Context, m *uml.Model, er *EstimateRequest) (estimator.Request, error) {
+// per-stage latency histograms /metrics serves. id is m's content
+// address, which the estimator takes as its compile-cache key instead of
+// hashing the model again.
+func (s *Server) buildRequest(ctx context.Context, m *uml.Model, id string, er *EstimateRequest) (estimator.Request, error) {
 	pol, err := policyOf(er.Policy)
 	if err != nil {
 		return estimator.Request{}, err
@@ -512,6 +514,7 @@ func (s *Server) buildRequest(ctx context.Context, m *uml.Model, er *EstimateReq
 	}
 	return estimator.Request{
 		Model:     m,
+		ModelKey:  id,
 		Params:    sp,
 		Globals:   er.Globals,
 		Seed:      er.Seed,
@@ -595,19 +598,19 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveEval(w, r, estimateKey(id, &er), er.TimeoutMS, func(ctx context.Context) (evalResponse, error) {
-		req, err := s.buildRequest(ctx, m, &er)
+		req, err := s.buildRequest(ctx, m, id, &er)
 		if err != nil {
 			return nil, err
 		}
-		pr, err := s.est.CompileCachedCtx(ctx, m)
+		c, err := s.est.CompileKeyedCtx(ctx, id, m)
 		if err != nil {
 			return nil, err
 		}
 		var est *estimator.Estimate
 		if er.Summary {
-			est, err = s.est.EstimateCompiled(pr, req)
+			est, err = s.est.EstimateCompiled(c, req)
 		} else {
-			est, err = s.est.EstimateCompiledFast(pr, req)
+			est, err = s.est.EstimateCompiledFast(c, req)
 		}
 		if err != nil {
 			return nil, err
@@ -661,7 +664,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if sharded {
 			return s.shardSweep(ctx, id, m, &sr)
 		}
-		req, err := s.buildRequest(ctx, m, &sr.EstimateRequest)
+		req, err := s.buildRequest(ctx, m, id, &sr.EstimateRequest)
 		if err != nil {
 			return nil, err
 		}
@@ -719,7 +722,7 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 		if sharded {
 			makespans, err = s.shardMonteCarlo(ctx, id, m, &mr)
 		} else {
-			req, err2 := s.buildRequest(ctx, m, &EstimateRequest{
+			req, err2 := s.buildRequest(ctx, m, id, &EstimateRequest{
 				Params: mr.Params, Globals: mr.Globals, Seed: mr.Seed,
 				Policy: mr.Policy, MaxSteps: mr.MaxSteps, Backend: mr.Backend,
 			})
@@ -773,14 +776,14 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveEval(w, r, compareKey(ida, idb, &cr), cr.TimeoutMS, func(ctx context.Context) (evalResponse, error) {
-		req, err := s.buildRequest(ctx, ma, &EstimateRequest{
+		req, err := s.buildRequest(ctx, ma, ida, &EstimateRequest{
 			Params: cr.Params, Globals: cr.Globals, Seed: cr.Seed, Policy: cr.Policy,
 		})
 		if err != nil {
 			return nil, err
 		}
 		req.Parallel = 1
-		cmp, err := s.est.CompareModels(ma, mb, req, cr.Processes)
+		cmp, err := s.est.CompareModels(ma, ida, mb, idb, req, cr.Processes)
 		if err != nil {
 			return nil, err
 		}

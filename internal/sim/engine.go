@@ -36,6 +36,9 @@ type Engine struct {
 	// executed counts events dispatched by Run/RunUntil — the engine's
 	// unit of work, reported by EventsExecuted for request telemetry.
 	executed int64
+	// transitions counts process lifecycle transitions by kind, observer
+	// or not (see EventCounts).
+	transitions EventCounts
 
 	yield chan struct{} // processes hand control back on this channel
 	alive []*Process
@@ -104,10 +107,58 @@ func (e *Engine) SetTracer(f func(t float64, p *Process, what string)) {
 	e.SetObserver(tracerAdapter{fn: f}, 0)
 }
 
-func (e *Engine) trace(p *Process, what string) {
+// lifecycle is a process lifecycle transition kind.
+type lifecycle uint8
+
+const (
+	evSpawn lifecycle = iota
+	evRun
+	evHold
+	evBlock
+	evDone
+	numLifecycle
+)
+
+// lifecycleNames name the transition kinds as Observer.Event and
+// EventCounts report them.
+var lifecycleNames = [numLifecycle]string{"spawn", "run", "hold", "block", "done"}
+
+func (e *Engine) trace(p *Process, k lifecycle) {
+	e.transitions[k]++
 	if e.obs != nil {
-		e.obs.Event(e.now, p, what)
+		e.obs.Event(e.now, p, lifecycleNames[k])
 	}
+}
+
+// EventCounts tallies process lifecycle transitions by kind: a value
+// with no allocation behind it, turned into a map only when read by name.
+type EventCounts [numLifecycle]int64
+
+// Map returns the counts by kind ("spawn", "run", "hold", "block",
+// "done"), omitting kinds that never occurred — the counts a Recorder
+// installed before the first Spawn reports.
+func (c EventCounts) Map() map[string]int64 {
+	out := make(map[string]int64, numLifecycle)
+	for k, n := range c {
+		if n > 0 {
+			out[lifecycleNames[k]] = n
+		}
+	}
+	return out
+}
+
+// EventCounts returns the process lifecycle transitions so far, kept
+// with or without an observer.
+func (e *Engine) EventCounts() EventCounts { return e.transitions }
+
+// LoneProcessEventCounts returns the EventCounts of an engine run in
+// which a single process held holds times, never blocked, and finished:
+// one spawn, one dispatch at the start and after every hold, one done.
+// Runtimes that execute such a process without the engine report these.
+func LoneProcessEventCounts(holds int64) EventCounts {
+	var c EventCounts
+	c[evSpawn], c[evRun], c[evHold], c[evDone] = 1, 1+holds, holds, 1
+	return c
 }
 
 // event is a scheduled occurrence: resume a process or run a callback.
@@ -184,7 +235,7 @@ func (e *Engine) Spawn(name string, fn func(*Process)) *Process {
 		state: stateReady,
 	}
 	e.alive = append(e.alive, p)
-	e.trace(p, "spawn")
+	e.trace(p, evSpawn)
 	go func() {
 		<-p.wake // first dispatch
 		defer func() {
@@ -207,7 +258,7 @@ func (e *Engine) Spawn(name string, fn func(*Process)) *Process {
 				}
 			}
 			p.state = stateDone
-			e.trace(p, "done")
+			e.trace(p, evDone)
 			e.yield <- struct{}{}
 		}()
 		if p.poisoned {
@@ -297,7 +348,7 @@ func (e *Engine) RunUntil(limit float64) (float64, error) {
 // dispatch hands control to a process and waits until it yields back.
 func (e *Engine) dispatch(p *Process) {
 	p.state = stateRunning
-	e.trace(p, "run")
+	e.trace(p, evRun)
 	p.wake <- struct{}{}
 	<-e.yield
 }

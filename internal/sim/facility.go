@@ -96,13 +96,16 @@ func (f *Facility) Use(p *Process, serviceTime float64) {
 func (f *Facility) QueueLength() int { return len(f.waiting) }
 
 // Utilization returns the time-average fraction of busy servers over the
-// interval [0, now].
+// interval [0, now]. It only reads: integrating up to now in place would
+// split the busy integral at every telemetry sample and move its last
+// bits, so an observed run would report other numbers than an unobserved
+// one.
 func (f *Facility) Utilization() float64 {
-	f.account()
 	if f.eng.now == 0 {
 		return 0
 	}
-	return f.busyIntegral / (f.eng.now * float64(f.servers))
+	busy := f.busyIntegral + float64(f.busy)*(f.eng.now-f.lastChange)
+	return busy / (f.eng.now * float64(f.servers))
 }
 
 // CompletedServices returns the number of Use calls that finished.

@@ -116,6 +116,21 @@ func (e *Engine) finalSample() {
 	e.sample()
 }
 
+// FacilityUtilization maps every facility created on the engine (FCFS
+// and processor-sharing) to its time-average utilization over [0, Now()]
+// — what a telemetry sample taken now reports. Read after Run, it is the
+// utilization at the end of the run.
+func (e *Engine) FacilityUtilization() map[string]float64 {
+	out := make(map[string]float64, len(e.facilities)+len(e.psFacilities))
+	for _, f := range e.facilities {
+		out[f.name] = f.Utilization()
+	}
+	for _, f := range e.psFacilities {
+		out[f.name] = f.Utilization()
+	}
+	return out
+}
+
 // sample captures the current engine state and hands it to the observer.
 func (e *Engine) sample() {
 	s := Sample{
@@ -124,14 +139,12 @@ func (e *Engine) sample() {
 		LiveProcesses: e.LiveProcesses(),
 	}
 	if len(e.facilities) > 0 || len(e.psFacilities) > 0 {
-		s.FacilityUtilization = make(map[string]float64, len(e.facilities)+len(e.psFacilities))
+		s.FacilityUtilization = e.FacilityUtilization()
 		s.FacilityQueue = make(map[string]int, len(e.facilities)+len(e.psFacilities))
 		for _, f := range e.facilities {
-			s.FacilityUtilization[f.name] = f.Utilization()
 			s.FacilityQueue[f.name] = f.QueueLength()
 		}
 		for _, f := range e.psFacilities {
-			s.FacilityUtilization[f.name] = f.Utilization()
 			s.FacilityQueue[f.name] = f.ActiveJobs()
 		}
 	}

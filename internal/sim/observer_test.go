@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 )
 
@@ -216,5 +217,83 @@ func TestEngineIntrospection(t *testing.T) {
 	}
 	if got := e.LiveProcesses(); got != 0 {
 		t.Errorf("after run LiveProcesses = %d, want 0", got)
+	}
+}
+
+// The engine counts lifecycle transitions and reports end-of-run
+// utilization without an observer, and sampling does not move them: a
+// sampled and an unsampled run of the same processes agree bit for bit,
+// and with the recorder's own counts and final sample.
+func TestStatisticsWithoutObserver(t *testing.T) {
+	run := func(rec *Recorder) *Engine {
+		e := New()
+		cpu := e.NewFacility("cpu", 1)
+		if rec != nil {
+			e.SetObserver(rec, 0)
+		}
+		// Services separated by idle gaps, and a ticker whose holds put
+		// samples inside the services: integrating at each sample would
+		// round the busy integral differently.
+		e.Spawn("user", func(p *Process) {
+			for j := 1; j < 6; j++ {
+				p.Hold(math.Sqrt(float64(j)) / 7)
+				cpu.Use(p, math.Sqrt(float64(j+11))/5)
+			}
+		})
+		e.Spawn("ticker", func(p *Process) {
+			for j := 1; j < 90; j++ {
+				p.Hold(math.Sqrt(float64(j)) / 60)
+			}
+		})
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	rec := NewRecorder(0)
+	sampled, plain := run(rec), run(nil)
+	if plain.Now() != sampled.Now() {
+		t.Fatalf("sampling changed the run: end %v vs %v", sampled.Now(), plain.Now())
+	}
+	samples := rec.Samples()
+	want := samples[len(samples)-1].FacilityUtilization
+	for _, e := range []*Engine{sampled, plain} {
+		got := e.FacilityUtilization()
+		if len(got) != len(want) {
+			t.Fatalf("utilization %v, final sample %v", got, want)
+		}
+		for name, u := range want {
+			if got[name] != u {
+				t.Errorf("%s utilization %v, final sample %v", name, got[name], u)
+			}
+		}
+		counts := e.EventCounts().Map()
+		if len(counts) != len(rec.EventCounts()) {
+			t.Fatalf("event counts %v, recorder %v", counts, rec.EventCounts())
+		}
+		for kind, n := range rec.EventCounts() {
+			if counts[kind] != n {
+				t.Errorf("%s events %d, recorder %d", kind, counts[kind], n)
+			}
+		}
+	}
+}
+
+// LoneProcessEventCounts is what the engine counts for one process that
+// holds and never blocks.
+func TestLoneProcessEventCounts(t *testing.T) {
+	for _, holds := range []int{0, 1, 5} {
+		e := New()
+		e.Spawn("p0", func(p *Process) {
+			for i := 0; i < holds; i++ {
+				p.Hold(float64(i))
+			}
+		})
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.EventCounts(), LoneProcessEventCounts(int64(holds)); got != want {
+			t.Errorf("holds=%d: engine %v, lone-process %v", holds, got.Map(), want.Map())
+		}
 	}
 }

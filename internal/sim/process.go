@@ -78,7 +78,7 @@ func (p *Process) Hold(dt float64) {
 		dt = 0
 	}
 	p.state = stateHolding
-	p.eng.trace(p, "hold")
+	p.eng.trace(p, evHold)
 	p.eng.schedule(p.eng.now+dt, p, nil)
 	p.pause()
 }
@@ -87,7 +87,7 @@ func (p *Process) Hold(dt float64) {
 // object is responsible for scheduling its resume.
 func (p *Process) block() {
 	p.state = stateBlocked
-	p.eng.trace(p, "block")
+	p.eng.trace(p, evBlock)
 	p.pause()
 }
 

@@ -151,9 +151,16 @@ func (f *PSFacility) CompletedServices() int { return f.services }
 
 // Utilization returns the time-average fraction of busy servers.
 func (f *PSFacility) Utilization() float64 {
-	f.advance()
-	if f.eng.now == 0 {
+	now := f.eng.now
+	if now == 0 {
 		return 0
 	}
-	return f.busyIntegral / (f.eng.now * float64(f.servers))
+	// Read without advancing: advancing at a telemetry sample would split
+	// the jobs' progress and change the run it observes (see
+	// Facility.Utilization).
+	busy := f.busyIntegral
+	if dt := now - f.lastUpdate; dt > 0 && len(f.jobs) > 0 {
+		busy += math.Min(float64(len(f.jobs)), float64(f.servers)) * dt
+	}
+	return busy / (now * float64(f.servers))
 }
