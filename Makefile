@@ -24,9 +24,11 @@ test:
 # Race-detector pass over the simulation engine (goroutine handoffs),
 # the metrics package (lock-free atomics), the batch runtime
 # (worker-pool fan-out) plus the estimator entry points built on it,
-# and the HTTP serving layer (admission control, drain, model store).
+# the HTTP serving layer (admission control, drain, model store), and
+# the engine's users: the interpreter (fork and OpenMP processes) and
+# the machine model (delivery callbacks run on process goroutines).
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/estimator/... ./internal/lower/... ./internal/server/... ./internal/analytic/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/estimator/... ./internal/lower/... ./internal/server/... ./internal/analytic/... ./internal/interp/... ./internal/machine/...
 
 # Black-box smoke test of the prophetd binary: start it, register a
 # model, estimate, scrape /metrics, and check SIGTERM drains cleanly.

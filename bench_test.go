@@ -480,9 +480,11 @@ func BenchmarkContention(b *testing.B) {
 // --- Ablation: process-oriented vs callback-chain event handling --------
 
 // BenchmarkSimStyle compares the goroutine-backed process model (Hold in a
-// loop) against pure scheduler callbacks (After chains) for the same event
-// count: the cost of the process abstraction is the two channel handoffs
-// per event.
+// loop) against pure event callbacks (After chains) for the same event
+// count. A holding process runs the event loop itself, so a lone process
+// that is its own next event pays no goroutine switch: what remains of
+// the process abstraction's cost is the bookkeeping around each Hold. A
+// switch to another process costs one channel send.
 func BenchmarkSimStyle(b *testing.B) {
 	const events = 1000
 	b.Run("process-hold", func(b *testing.B) {

@@ -4,7 +4,8 @@
 // tracked across PRs: ns/op and allocs/op per benchmark, plus the
 // wall-clock speedup of a 64-run Monte Carlo batch at 4 workers vs 1,
 // and the cost of a keyed compile-cache hit against a miss on a
-// 10^4-node model.
+// 10^4-node model, and the cost per event of an engine-mode lowered run
+// of a 2k-node forking model.
 //
 //	go run ./cmd/benchrunner -o BENCH_runner.json
 //
@@ -25,6 +26,8 @@ import (
 
 	"prophet/internal/builder"
 	"prophet/internal/estimator"
+	"prophet/internal/interp"
+	"prophet/internal/lower"
 	"prophet/internal/modelgen"
 	"prophet/internal/sim"
 	"prophet/internal/uml"
@@ -38,6 +41,10 @@ type result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	Iterations  int     `json:"iterations"`
+	// EventsPerOp and NsPerEvent split an engine-run benchmark into its
+	// amount of work (engine events per op) and the cost per event.
+	EventsPerOp int64   `json:"events_per_op,omitempty"`
+	NsPerEvent  float64 `json:"ns_per_event,omitempty"`
 }
 
 // doc is the BENCH_runner.json schema.
@@ -173,6 +180,43 @@ func compileCache() ([]result, error) {
 	return []result{miss, hit, hashed}, nil
 }
 
+// engineFork measures the event engine under a model-driven load: one
+// lowered, untraced run per op of a 2k-node modelgen model, whose forks
+// keep it in engine mode (a process per branch, no direct mode).
+func engineFork() (result, error) {
+	m, err := modelgen.Generate(modelgen.Params{Seed: 1, Nodes: 2000})
+	if err != nil {
+		return result{}, err
+	}
+	ip, err := interp.Compile(m, nil)
+	if err != nil {
+		return result{}, err
+	}
+	lp := lower.Lower(ip)
+	cfg := interp.Config{Seed: 1, NoTrace: true}
+	res, err := lp.Run(cfg)
+	if err != nil {
+		return result{}, err
+	}
+	eng, ok := res.Stats.(*sim.Engine)
+	if !ok {
+		return result{}, fmt.Errorf("engine_fork: model ran in direct mode")
+	}
+	r := measure("engine_fork_modelgen_2k_lowered", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := lp.Run(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	r.EventsPerOp = eng.EventsExecuted()
+	if r.EventsPerOp > 0 {
+		r.NsPerEvent = r.NsPerOp / float64(r.EventsPerOp)
+	}
+	return r, nil
+}
+
 // maxCompileHitShare is the ceiling run enforces on
 // compile_keyed_hit_share_of_miss: a keyed compile-cache hit must cost at
 // most this share of a miss (it measures ~1e-5, a map lookup against
@@ -232,7 +276,10 @@ func run(out string, minAnalyticSpeedup float64) error {
 		Note: "montecarlo_64 benches run one 64-seed batch per op on the " +
 			"stochastic query-mix model (lowered backend unless suffixed " +
 			"_interp); event_scheduling runs one raw engine with 1000 holds " +
-			"per op; hold_loop_1000 evaluates the same workload as a model " +
+			"per op; engine_fork_modelgen_2k_lowered runs one untraced " +
+			"lowered engine-mode run per op of a 2k-node modelgen model " +
+			"(seed 1) and reports its engine events per op and ns per " +
+			"event; hold_loop_1000 evaluates the same workload as a model " +
 			"on each backend. montecarlo speedup is sequential ns/op " +
 			"divided by 4-worker ns/op and is bounded by gomaxprocs; " +
 			"speedup_lowered_vs_interp is hold_loop interp ns/op divided " +
@@ -260,6 +307,12 @@ func run(out string, minAnalyticSpeedup float64) error {
 			}
 		}
 	}))
+
+	ef, err := engineFork()
+	if err != nil {
+		return err
+	}
+	d.Benchmarks = append(d.Benchmarks, ef)
 
 	hlInterp := measure("hold_loop_1000_interp", holdLoop(estimator.BackendInterp))
 	hlLowered := measure("hold_loop_1000_lowered", holdLoop(estimator.BackendLowered))

@@ -86,12 +86,12 @@ type Entry struct {
 
 // Artifact names, in pipeline-stage order.
 const (
-	ArtModelXML = "model.xml"   // canonical serialization (parse stage)
-	ArtCheck    = "check.txt"   // model-checker report
-	ArtCpp      = "model.cpp"   // generated C++ representation
+	ArtModelXML = "model.xml"    // canonical serialization (parse stage)
+	ArtCheck    = "check.txt"    // model-checker report
+	ArtCpp      = "model.cpp"    // generated C++ representation
 	ArtGo       = "model_go.txt" // generated Go program skeleton
-	ArtTrace    = "run.trace"   // simulation trace file (TF)
-	ArtSummary  = "summary.txt" // trace summary + final globals + utilization
+	ArtTrace    = "run.trace"    // simulation trace file (TF)
+	ArtSummary  = "summary.txt"  // trace summary + final globals + utilization
 )
 
 // ArtifactNames lists every artifact the harness produces, in stage order.

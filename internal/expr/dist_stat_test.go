@@ -47,7 +47,7 @@ func TestDistMomentsMatchSampling(t *testing.T) {
 	for _, src := range []string{
 		"exp(2)",
 		"normal(5, 1)",
-		"normal(1, 2)", // heavily censored: ~31% of raw draws are negative
+		"normal(1, 2)",  // heavily censored: ~31% of raw draws are negative
 		"normal(-1, 1)", // mostly censored to zero
 		"uniform(1, 3)",
 		"empirical(1, 2, 6)",

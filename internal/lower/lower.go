@@ -233,9 +233,9 @@ type regionKey struct {
 func Lower(pr *interp.Program) *Program {
 	parts := pr.Parts()
 	l := &lowerer{
-		parts:    parts,
-		lay:      buildLayout(parts),
-		prog:     &Program{parts: parts},
+		parts:        parts,
+		lay:          buildLayout(parts),
+		prog:         &Program{parts: parts},
 		diagSeg:      map[string]int{},
 		regions:      map[regionKey]int{},
 		resolved:     map[*expr.Compiled]*expr.Slotted{},

@@ -12,9 +12,14 @@
 //     (Mailbox), modeling point-to-point communication
 //   - barriers and events for collective synchronization
 //
-// Processes are backed by goroutines, but exactly one goroutine — either
-// the scheduler or a single process — runs at any instant; control is
-// handed over explicitly through channels. Together with a deterministic
+// Processes are backed by goroutines, but exactly one goroutine — the one
+// that called Run or a single process — runs at any instant. There is no
+// scheduler goroutine: a process that pauses runs the event loop itself,
+// executing callbacks inline until the next process event. If that event
+// is its own wakeup it simply carries on; otherwise it hands control
+// straight to the process due, or back to Run when the run is over, with
+// one channel send. A finished process's goroutine waits on the engine's
+// idle list for the next process to start. Together with a deterministic
 // (time, sequence)-ordered event queue this makes every simulation run
 // bit-for-bit reproducible.
 package sim
@@ -40,14 +45,24 @@ type Engine struct {
 	// or not (see EventCounts).
 	transitions EventCounts
 
-	yield chan struct{} // processes hand control back on this channel
 	alive []*Process
 	done  int // processes in alive that have reached stateDone
 	err   error
 
+	// Control handoff. Whichever goroutine holds control owns the engine;
+	// it passes control on with one send, to a process's worker or, when
+	// the loop is over, on yield to the goroutine blocked in Run.
+	yield    chan struct{}
+	cur      *Process    // dispatched process whose dispatch is not yet finished
+	bounded  bool        // the run stops at limit (RunUntil)
+	limit    float64     // RunUntil's horizon
+	stop     error       // why the loop ended early: an interrupt
+	panicked interface{} // panic value of an At/After callback, re-raised by Run
+	idle     []*worker   // goroutines of finished processes, free for new ones
+
 	// interrupted carries an external stop request (Interrupt). It is the
-	// only engine field touched from outside the scheduler goroutine, so
-	// it is atomic; the scheduler loop checks it between events.
+	// only engine field touched from outside the goroutine holding
+	// control, so it is atomic; the event loop checks it between events.
 	interrupted atomic.Pointer[interruptCause]
 
 	// free is the event free-list: events popped from the queue are
@@ -85,7 +100,7 @@ func (e *Engine) Now() float64 { return e.now }
 
 // EventsExecuted returns how many events Run/RunUntil have dispatched so
 // far — a cheap proxy for how much simulation work a run cost. Read it
-// after the run returns (the scheduler goroutine owns the counter).
+// after the run returns (the goroutine holding control owns the counter).
 func (e *Engine) EventsExecuted() int64 { return e.executed }
 
 // SetTracer installs a callback observing process lifecycle transitions
@@ -218,55 +233,25 @@ func (e *Engine) release(ev *event) {
 }
 
 // At schedules fn to run at absolute simulated time t (>= now). The
-// callback runs in scheduler context: it must not block, but it may spawn
-// processes and signal synchronization objects.
+// callback runs inside the event loop, on whichever goroutine holds
+// control: it must not block, but it may spawn processes and signal
+// synchronization objects.
 func (e *Engine) At(t float64, fn func()) { e.schedule(t, nil, fn) }
 
 // After schedules fn to run dt time units from now.
 func (e *Engine) After(dt float64, fn func()) { e.At(e.now+dt, fn) }
 
 // Spawn creates a process executing fn. The process starts at the current
-// simulated time, after the caller yields control back to the scheduler.
+// simulated time, after the caller yields control.
 func (e *Engine) Spawn(name string, fn func(*Process)) *Process {
 	p := &Process{
 		eng:   e,
 		name:  name,
-		wake:  make(chan struct{}),
+		body:  fn,
 		state: stateReady,
 	}
 	e.alive = append(e.alive, p)
 	e.trace(p, evSpawn)
-	go func() {
-		<-p.wake // first dispatch
-		defer func() {
-			if r := recover(); r != nil {
-				if r == errPoisoned {
-					// Shutdown path: swallow and hand control back.
-					p.state = stateDone
-					e.yield <- struct{}{}
-					return
-				}
-				if e.err == nil {
-					if f, ok := r.(failure); ok {
-						// A cooperative abort via Process.Fail: keep the
-						// error chain intact so callers can errors.Is/As
-						// through it.
-						e.err = &ProcessError{Process: p.name, Err: f.err}
-					} else {
-						e.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-					}
-				}
-			}
-			p.state = stateDone
-			e.trace(p, evDone)
-			e.yield <- struct{}{}
-		}()
-		if p.poisoned {
-			panic(errPoisoned)
-		}
-		p.state = stateRunning
-		fn(p)
-	}()
 	e.schedule(e.now, p, nil)
 	return p
 }
@@ -277,33 +262,9 @@ func (e *Engine) Spawn(name string, fn func(*Process)) *Process {
 // a DeadlockError.
 func (e *Engine) Run() (float64, error) {
 	defer e.shutdown()
-	for len(e.events) > 0 {
-		if c := e.interrupted.Load(); c != nil {
-			return e.now, &InterruptError{Time: e.now, Cause: c.err}
-		}
-		ev := heap.Pop(&e.events).(*event)
-		e.executed++
-		e.now = ev.time
-		switch {
-		case ev.fn != nil:
-			ev.fn()
-		case ev.p != nil:
-			if ev.p.state == stateDone {
-				break // stale wakeup for a finished process
-			}
-			e.dispatch(ev.p)
-			if ev.p.state == stateDone {
-				e.done++
-			}
-		}
-		e.release(ev)
-		if e.err != nil {
-			return e.now, e.err
-		}
-		e.compactAlive()
-		e.maybeSample()
+	if err := e.run(false, 0); err != nil {
+		return e.now, err
 	}
-	e.finalSample()
 	if blocked := e.blockedProcesses(); len(blocked) > 0 {
 		return e.now, &DeadlockError{Time: e.now, Processes: blocked}
 	}
@@ -315,42 +276,168 @@ func (e *Engine) Run() (float64, error) {
 // with a final sample, so a partial run keeps the tail of its series.
 func (e *Engine) RunUntil(limit float64) (float64, error) {
 	defer e.shutdown()
-	for len(e.events) > 0 && e.events[0].time <= limit {
-		if c := e.interrupted.Load(); c != nil {
-			return e.now, &InterruptError{Time: e.now, Cause: c.err}
+	err := e.run(true, limit)
+	return e.now, err
+}
+
+// run drives the event loop, up to limit when bounded, from the calling
+// goroutine, which parks while processes hold control, and closes the
+// telemetry series unless the run failed. A callback panic caught on a
+// process goroutine is re-raised here, on the caller's goroutine.
+func (e *Engine) run(bounded bool, limit float64) error {
+	e.bounded, e.limit, e.stop = bounded, limit, nil
+	if next := e.advance(); next != nil {
+		e.resume(next)
+		<-e.yield
+	}
+	if v := e.panicked; v != nil {
+		e.panicked = nil
+		panic(v)
+	}
+	if e.stop != nil {
+		return e.stop
+	}
+	if e.err != nil {
+		return e.err
+	}
+	e.finalSample()
+	return nil
+}
+
+// advance finishes the bookkeeping of the current dispatch, then pops
+// events and runs callbacks until a live process is due. It returns that
+// process, already marked running, or nil when the loop is over: queue
+// empty, limit reached, error, interrupt or callback panic.
+func (e *Engine) advance() (next *Process) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = r
+			next = nil
 		}
-		ev := heap.Pop(&e.events).(*event)
-		e.executed++
-		e.now = ev.time
-		switch {
-		case ev.fn != nil:
-			ev.fn()
-		case ev.p != nil:
-			if ev.p.state == stateDone {
-				break
-			}
-			e.dispatch(ev.p)
-			if ev.p.state == stateDone {
-				e.done++
-			}
+	}()
+	if p := e.cur; p != nil {
+		e.cur = nil
+		if p.state == stateDone {
+			e.done++
 		}
-		e.release(ev)
 		if e.err != nil {
-			return e.now, e.err
+			return nil
 		}
 		e.compactAlive()
 		e.maybeSample()
 	}
-	e.finalSample()
-	return e.now, nil
+	for len(e.events) > 0 && (!e.bounded || e.events[0].time <= e.limit) {
+		if c := e.interrupted.Load(); c != nil {
+			e.stop = &InterruptError{Time: e.now, Cause: c.err}
+			return nil
+		}
+		ev := heap.Pop(&e.events).(*event)
+		e.executed++
+		e.now = ev.time
+		p, fn := ev.p, ev.fn
+		e.release(ev)
+		if fn != nil {
+			fn()
+		} else if p.state != stateDone { // else a stale wakeup of a finished process
+			p.state = stateRunning
+			e.trace(p, evRun)
+			e.cur = p
+			return p
+		}
+		if e.err != nil {
+			return nil
+		}
+		e.compactAlive()
+		e.maybeSample()
+	}
+	return nil
 }
 
-// dispatch hands control to a process and waits until it yields back.
-func (e *Engine) dispatch(p *Process) {
-	p.state = stateRunning
-	e.trace(p, evRun)
-	p.wake <- struct{}{}
-	<-e.yield
+// resume hands control to process next, starting its body on an idle or
+// new worker if it has not run yet, or back to Run when next is nil. The
+// caller must not touch the engine afterwards.
+func (e *Engine) resume(next *Process) {
+	if next == nil {
+		e.yield <- struct{}{}
+		return
+	}
+	if next.w != nil {
+		next.w.wake <- struct{}{}
+		return
+	}
+	if n := len(e.idle); n > 0 {
+		w := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		w.p, next.w = next, w
+		w.wake <- struct{}{}
+		return
+	}
+	w := &worker{wake: make(chan struct{}), p: next}
+	next.w = w
+	go e.work(w)
+}
+
+// worker is a goroutine that runs process bodies, one after another, so
+// a stack grown by one process serves the next.
+type worker struct {
+	wake chan struct{} // control arrives here; closed at shutdown
+	p    *Process      // the process running on the worker
+}
+
+// work runs w's process, then the event loop. A process that has not
+// started yet continues on this goroutine; otherwise the worker hands
+// control on and waits on the idle list.
+func (e *Engine) work(w *worker) {
+	for {
+		if !e.exec(w.p) {
+			e.yield <- struct{}{} // unwound by shutdown
+			return
+		}
+		next := e.advance()
+		if next != nil && next.w == nil {
+			w.p, next.w = next, w
+			continue
+		}
+		w.p = nil
+		e.idle = append(e.idle, w)
+		e.resume(next)
+		if _, ok := <-w.wake; !ok {
+			return
+		}
+	}
+}
+
+// exec runs p's body to its end. A panic or Process.Fail becomes the
+// run's error; exec reports false when shutdown unwound the process.
+func (e *Engine) exec(p *Process) (finished bool) {
+	defer func() {
+		r := recover()
+		p.state = stateDone
+		if r == errPoisoned {
+			return
+		}
+		goexit := r == nil && !finished
+		finished = true
+		if r != nil && e.err == nil {
+			if f, isFail := r.(failure); isFail {
+				// A cooperative abort via Process.Fail: keep the error
+				// chain intact so callers can errors.Is/As through it.
+				e.err = &ProcessError{Process: p.name, Err: f.err}
+			} else {
+				e.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+			}
+		}
+		e.trace(p, evDone)
+		if goexit {
+			// runtime.Goexit ends this goroutine: hand control on first.
+			e.resume(e.advance())
+		}
+	}()
+	body := p.body
+	p.body = nil
+	body(p)
+	return true
 }
 
 // compactAlive drops finished processes from the process table once they
@@ -389,25 +476,34 @@ func (e *Engine) blockedProcesses() []string {
 	return out
 }
 
-// shutdown unwinds every goroutine that is still parked so that Run never
-// leaks OS resources, even after a deadlock or error.
+// shutdown unwinds every process goroutine that is still parked and
+// closes the idle workers, so that no goroutine outlives Run, even after
+// a deadlock, error or panic. Processes that never started have no
+// goroutine and are simply marked done.
 func (e *Engine) shutdown() {
 	for _, p := range e.alive {
-		switch p.state {
-		case stateBlocked, stateHolding, stateReady:
-			p.poisoned = true
-			p.wake <- struct{}{}
-			<-e.yield
+		if p.state == stateDone {
+			continue
 		}
+		if p.w == nil {
+			p.state, p.body = stateDone, nil
+			continue
+		}
+		p.poisoned = true
+		p.w.wake <- struct{}{}
+		<-e.yield
 	}
-	e.alive = nil
+	for _, w := range e.idle {
+		close(w.wake)
+	}
+	e.alive, e.idle = nil, nil
 	e.done = 0
 }
 
 // interruptCause boxes the Interrupt cause so it fits an atomic.Pointer.
 type interruptCause struct{ err error }
 
-// Interrupt requests that the running simulation stop: the scheduler
+// Interrupt requests that the running simulation stop: the event loop
 // checks between events, unwinds every parked process, and Run/RunUntil
 // return an *InterruptError wrapping cause. Unlike every other Engine
 // method, Interrupt is safe to call from any goroutine — it is how a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -251,6 +252,7 @@ func TestYield(t *testing.T) {
 func TestManyProcessesNoLeak(t *testing.T) {
 	// Shutdown must unwind every parked goroutine, including ones that
 	// never ran and ones left blocked after a deadlock.
+	base := runtime.NumGoroutine()
 	e := New()
 	mb := e.NewMailbox("mb")
 	for i := 0; i < 100; i++ {
@@ -261,6 +263,7 @@ func TestManyProcessesNoLeak(t *testing.T) {
 	if _, err := e.Run(); err == nil {
 		t.Fatal("expected deadlock")
 	}
+	waitForGoroutines(t, base)
 	// The engine has been shut down; a fresh run on a new engine still
 	// works (nothing global leaked or corrupted).
 	e2 := New()
@@ -268,6 +271,7 @@ func TestManyProcessesNoLeak(t *testing.T) {
 	if _, err := e2.Run(); err != nil {
 		t.Fatal(err)
 	}
+	waitForGoroutines(t, base)
 }
 
 func TestClockNeverMovesBackwards(t *testing.T) {

@@ -11,14 +11,19 @@ type Facility struct {
 	name    string
 	servers int
 	busy    int
-	waiting []*Process
+	waiting []waiter // FCFS queue
 
 	// statistics
 	busyIntegral float64 // sum over time of (busy servers) dt
 	lastChange   float64
 	services     int
 	queueTimeSum float64
-	enqueueTime  map[*Process]float64
+}
+
+// waiter is a process queued on a facility and the time it joined.
+type waiter struct {
+	p     *Process
+	since float64
 }
 
 // NewFacility creates a facility with the given number of servers
@@ -27,12 +32,7 @@ func (e *Engine) NewFacility(name string, servers int) *Facility {
 	if servers < 1 {
 		panic(fmt.Sprintf("sim: facility %q needs at least 1 server", name))
 	}
-	f := &Facility{
-		eng:         e,
-		name:        name,
-		servers:     servers,
-		enqueueTime: make(map[*Process]float64),
-	}
+	f := &Facility{eng: e, name: name, servers: servers}
 	e.facilities = append(e.facilities, f)
 	return f
 }
@@ -57,8 +57,7 @@ func (f *Facility) Acquire(p *Process) {
 		f.busy++
 		return
 	}
-	f.enqueueTime[p] = f.eng.now
-	f.waiting = append(f.waiting, p)
+	f.waiting = append(f.waiting, waiter{p: p, since: f.eng.now})
 	p.block()
 	// Woken by Release: the releasing side already transferred the server
 	// to us and recorded the queue time.
@@ -71,12 +70,15 @@ func (f *Facility) Release(p *Process) {
 		panic(fmt.Sprintf("sim: facility %q released more than acquired", f.name))
 	}
 	if len(f.waiting) > 0 {
+		// Shift the queue down in place rather than reslicing past its
+		// head, so a contended facility stops reallocating it.
 		next := f.waiting[0]
-		f.waiting = f.waiting[1:]
-		f.queueTimeSum += f.eng.now - f.enqueueTime[next]
-		delete(f.enqueueTime, next)
+		n := copy(f.waiting, f.waiting[1:])
+		f.waiting[n] = waiter{}
+		f.waiting = f.waiting[:n]
+		f.queueTimeSum += f.eng.now - next.since
 		// The server passes directly to next: busy count is unchanged.
-		next.unblock()
+		next.p.unblock()
 		return
 	}
 	f.account()

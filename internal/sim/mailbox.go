@@ -22,7 +22,7 @@ func (m *Mailbox) Name() string { return m.name }
 
 // Send deposits a message. If receivers are waiting, the longest-waiting
 // one is handed the message and scheduled to resume at the current time.
-// Send never blocks; it is safe to call from scheduler callbacks as well
+// Send never blocks; it is safe to call from At/After callbacks as well
 // as from processes.
 func (m *Mailbox) Send(msg interface{}) {
 	if len(m.waiting) > 0 {

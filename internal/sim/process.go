@@ -27,7 +27,8 @@ const (
 type Process struct {
 	eng      *Engine
 	name     string
-	wake     chan struct{}
+	body     func(*Process) // until the first dispatch
+	w        *worker        // goroutine running the process; nil until it starts
 	state    procState
 	poisoned bool
 
@@ -60,14 +61,17 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Process) Now() float64 { return p.eng.now }
 
-// pause yields control to the scheduler and parks until woken.
+// pause runs the event loop until the process is due again. When another
+// process is due first, pause hands control to it and parks until woken.
 func (p *Process) pause() {
-	p.eng.yield <- struct{}{}
-	<-p.wake
-	if p.poisoned {
-		panic(errPoisoned)
+	e := p.eng
+	if next := e.advance(); next != p {
+		e.resume(next)
+		<-p.w.wake
+		if p.poisoned {
+			panic(errPoisoned)
+		}
 	}
-	p.state = stateRunning
 }
 
 // Hold advances the process's local time by dt: the process is suspended

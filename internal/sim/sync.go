@@ -78,7 +78,7 @@ func (ev *Event) Wait(p *Process) {
 	p.block()
 }
 
-// Set marks the event and wakes every waiter. Safe to call from scheduler
+// Set marks the event and wakes every waiter. Safe to call from At/After
 // callbacks.
 func (ev *Event) Set() {
 	if ev.set {

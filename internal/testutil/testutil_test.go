@@ -7,9 +7,9 @@ import (
 
 func TestCloseTimes(t *testing.T) {
 	cases := []struct {
-		name     string
+		name      string
 		got, want float64
-		close    bool
+		close     bool
 	}{
 		{"exact", 1.3, 1.3, true},
 		{"accumulated error", 0.1 + 0.2, 0.3, true},

@@ -101,15 +101,15 @@ func TestFastDecodeMatchesStdlib(t *testing.T) {
 // still produce the stdlib outcome through the public Decode.
 func TestFastDecodeFallsBack(t *testing.T) {
 	cases := []string{
-		`<model name="m" xmlns="urn:x"></model>`,              // namespace attr is unknown
-		`<model name="m"><unknown/></model>`,                  // unknown element
-		`<model name="m" extra="1"></model>`,                  // unknown attribute
+		`<model name="m" xmlns="urn:x"></model>`,                          // namespace attr is unknown
+		`<model name="m"><unknown/></model>`,                              // unknown element
+		`<model name="m" extra="1"></model>`,                              // unknown attribute
 		`<model name="m"><diagram id="d" name="n">text</diagram></model>`, // stray chardata
-		`<model name="m"><![CDATA[x]]></model>`,               // CDATA
+		`<model name="m"><![CDATA[x]]></model>`,                           // CDATA
 		`<model name="m"><diagram id="d" name="n"><node id="a" kind="Action"><code>a<!-- c -->b</code></node></diagram></model>`, // comment in text
-		`<model name="m">&#1;</model>`,                        // invalid char ref
-		`<model name="m">café</model>`,                        // non-ASCII bytes
-		`<model name="m"></Model>`,                            // case-mismatched close
+		`<model name="m">&#1;</model>`, // invalid char ref
+		`<model name="m">café</model>`, // non-ASCII bytes
+		`<model name="m"></Model>`,     // case-mismatched close
 		`<model name="m"><diagram id="d" name="n"><edge from="a" to="b" weight="x"/></diagram></model>`, // bad float
 		`<model`, // truncated
 		``,       // empty
