@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"prophet/internal/builder"
+	"prophet/internal/conformance"
 	"prophet/internal/estimator"
 	"prophet/internal/interp"
 	"prophet/internal/lower"
@@ -243,12 +244,12 @@ func run(out string, minAnalyticSpeedup float64) error {
 		return err
 	}
 
-	mc := func(workers int, backend estimator.Backend) func(b *testing.B) {
+	mc := func(model *uml.Model, g map[string]float64, workers int, backend estimator.Backend) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.MonteCarlo(estimator.Request{
-					Model: m, Globals: globals, Parallel: workers, Backend: backend,
+					Model: model, Globals: g, Parallel: workers, Backend: backend,
 				}, 64); err != nil {
 					b.Fatal(err)
 				}
@@ -275,7 +276,11 @@ func run(out string, minAnalyticSpeedup float64) error {
 		NumCPU:      runtime.NumCPU(),
 		Note: "montecarlo_64 benches run one 64-seed batch per op on the " +
 			"stochastic query-mix model (lowered backend unless suffixed " +
-			"_interp); event_scheduling runs one raw engine with 1000 holds " +
+			"_interp); montecarlo_64_stochastic_service_workers_1 runs " +
+			"the same batch on conformance.StochasticService(2000), whose " +
+			"jobs draw from all four distribution families (8,000 draws " +
+			"per run), so its allocs/op shows what draws allocate; " +
+			"event_scheduling runs one raw engine with 1000 holds " +
 			"per op; engine_fork_modelgen_2k_lowered runs one untraced " +
 			"lowered engine-mode run per op of a 2k-node modelgen model " +
 			"(seed 1) and reports its engine events per op and ns per " +
@@ -321,11 +326,18 @@ func run(out string, minAnalyticSpeedup float64) error {
 		d.SpeedupLowered = hlInterp.NsPerOp / hlLowered.NsPerOp
 	}
 
-	seq := measure("montecarlo_64_workers_1", mc(1, estimator.BackendLowered))
-	par := measure("montecarlo_64_workers_4", mc(4, estimator.BackendLowered))
-	seqInterp := measure("montecarlo_64_workers_1_interp", mc(1, estimator.BackendInterp))
-	par4Interp := measure("montecarlo_64_workers_4_interp", mc(4, estimator.BackendInterp))
-	d.Benchmarks = append(d.Benchmarks, seq, par, seqInterp, par4Interp)
+	seq := measure("montecarlo_64_workers_1", mc(m, globals, 1, estimator.BackendLowered))
+	par := measure("montecarlo_64_workers_4", mc(m, globals, 4, estimator.BackendLowered))
+	seqInterp := measure("montecarlo_64_workers_1_interp", mc(m, globals, 1, estimator.BackendInterp))
+	par4Interp := measure("montecarlo_64_workers_4_interp", mc(m, globals, 4, estimator.BackendInterp))
+	ss := conformance.StochasticService(2000)
+	ssGlobals := map[string]float64{"scale": 1}
+	if _, err := e.CompileCached(ss); err != nil {
+		return err
+	}
+	seqStochastic := measure("montecarlo_64_stochastic_service_workers_1",
+		mc(ss, ssGlobals, 1, estimator.BackendLowered))
+	d.Benchmarks = append(d.Benchmarks, seq, par, seqInterp, par4Interp, seqStochastic)
 	if par.NsPerOp > 0 {
 		d.MonteCarloSpeedup4 = seq.NsPerOp / par.NsPerOp
 	}

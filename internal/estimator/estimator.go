@@ -380,17 +380,21 @@ func (e *Estimator) CompileKeyedCtx(ctx context.Context, key string, m *uml.Mode
 // needed for correctness — it only releases memory, e.g. for a model
 // that will not be evaluated again.
 func (e *Estimator) InvalidateCache(m *uml.Model) {
-	e.progMu.Lock()
-	defer e.progMu.Unlock()
 	if m == nil {
+		e.progMu.Lock()
 		e.progs = nil
 		e.progOrder = nil
+		e.progMu.Unlock()
 		return
 	}
+	// Hash before locking: the hash is O(model) and would otherwise
+	// stall every concurrent compile-cache lookup.
 	key, err := xmi.Hash(m)
 	if err != nil {
 		return
 	}
+	e.progMu.Lock()
+	defer e.progMu.Unlock()
 	if _, ok := e.progs[key]; !ok {
 		return
 	}

@@ -20,7 +20,8 @@ import (
 // Only the whole-source form is a distribution: `exp(2)` as a complete
 // cost expression is an exponential draw with mean 2, while `1 + exp(2)`
 // or `exp(2)` inside a guard keeps the builtin e^x meaning. Arguments are
-// ordinary expressions evaluated at sample time (so `exp(c*N)` is legal).
+// ordinary expressions evaluated at sample time (so `exp(c*N)` is legal);
+// their constant parts are folded once at parse time.
 
 // DistKind identifies the distribution family of a literal.
 type DistKind int
@@ -69,8 +70,20 @@ type Sampler interface {
 	Normal(mean, sd float64) float64
 }
 
-// Dist is a parsed distribution literal with compiled argument
-// expressions.
+// distStackArgs is how many argument values a draw evaluates into a stack
+// buffer; only an empirical literal with more arguments allocates.
+const distStackArgs = 8
+
+// argBuf returns n value slots, backed by buf when they fit.
+func argBuf(buf *[distStackArgs]float64, n int) []float64 {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]float64, n)
+}
+
+// Dist is a parsed distribution literal with compiled, constant-folded
+// argument expressions.
 type Dist struct {
 	Kind DistKind
 	Args []*Compiled
@@ -79,9 +92,12 @@ type Dist struct {
 
 // ParseDist reports whether src is a distribution literal — the entire
 // source is one top-level call to a distribution constructor with the
-// right arity — and parses it if so. A false return means src is an
-// ordinary expression (including sources that do not parse at all; those
-// surface their error through the normal expression path).
+// right arity — and parses it if so. Each argument is constant-folded
+// (Fold) before it is compiled, like every other model expression, so
+// `normal(0.005, 2*0.001)` samples from constant arguments. A false
+// return means src is an ordinary expression (including sources that do
+// not parse at all; those surface their error through the normal
+// expression path).
 //
 // Callers that support model-defined functions should skip the
 // distribution reading when the model defines a function of the same
@@ -98,7 +114,7 @@ func ParseDist(src string) (*Dist, bool) {
 	}
 	args := make([]*Compiled, len(argNodes))
 	for i, a := range argNodes {
-		args[i] = Compile(a)
+		args[i] = Compile(Fold(a))
 	}
 	return &Dist{Kind: distArity[name].kind, Args: args, src: src}, true
 }
@@ -144,11 +160,17 @@ func (d *Dist) evalArgs(env Env) ([]float64, error) {
 
 // Sample evaluates the arguments against env and draws one value from s.
 // Every call consumes exactly one draw from the sampler (the sampler
-// itself may consume more underlying randomness, deterministically).
+// itself may consume more underlying randomness, deterministically); a
+// failed argument consumes none.
 func (d *Dist) Sample(env Env, s Sampler) (float64, error) {
-	vals, err := d.evalArgs(env)
-	if err != nil {
-		return 0, err
+	var buf [distStackArgs]float64
+	vals := argBuf(&buf, len(d.Args))
+	for i, a := range d.Args {
+		v, err := a.Eval(env)
+		if err != nil {
+			return 0, fmt.Errorf("distribution %s: %w", d.src, err)
+		}
+		vals[i] = v
 	}
 	return drawDist(d.Kind, vals, s), nil
 }
@@ -165,22 +187,31 @@ func (d *Dist) Moments(env Env) (mean, variance float64, err error) {
 	return mean, variance, nil
 }
 
-// Resolve pre-resolves the argument expressions against a slot layout,
-// mirroring Compiled.Resolve, for the lowered backend.
+// Resolve pre-resolves the (already folded) argument expressions against
+// a slot layout, mirroring Compiled.Resolve, for the lowered backend.
+// When every argument folded to a constant, the values are kept so
+// sampling evaluates nothing.
 func (d *Dist) Resolve(rule func(name string) SlotRule) *SlotDist {
 	args := make([]*Slotted, len(d.Args))
+	consts := make([]float64, len(d.Args))
 	for i, a := range d.Args {
 		args[i] = a.Resolve(rule)
+		if n, ok := a.node.(*Num); ok && consts != nil {
+			consts[i] = n.Value
+		} else {
+			consts = nil
+		}
 	}
-	return &SlotDist{Kind: d.Kind, Args: args, src: d.src}
+	return &SlotDist{Kind: d.Kind, Args: args, consts: consts, src: d.src}
 }
 
 // SlotDist is a distribution literal whose argument expressions have been
 // slot-resolved. Produced by Dist.Resolve.
 type SlotDist struct {
-	Kind DistKind
-	Args []*Slotted
-	src  string
+	Kind   DistKind
+	Args   []*Slotted
+	consts []float64 // argument values when all are constant, else nil
+	src    string
 }
 
 // String returns the literal's source.
@@ -190,7 +221,11 @@ func (d *SlotDist) String() string { return d.src }
 // from s, bit-identical to Dist.Sample over the same argument values and
 // sampler state.
 func (d *SlotDist) Sample(se *SlotEnv, s Sampler) (float64, error) {
-	vals := make([]float64, len(d.Args))
+	if d.consts != nil {
+		return drawDist(d.Kind, d.consts, s), nil
+	}
+	var buf [distStackArgs]float64
+	vals := argBuf(&buf, len(d.Args))
 	for i, a := range d.Args {
 		v, err := a.Eval(se)
 		if err != nil {

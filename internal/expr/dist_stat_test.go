@@ -130,31 +130,6 @@ func TestEmpiricalChiSquare(t *testing.T) {
 	}
 }
 
-// The slot-resolved form must consume the seed stream bit-identically to
-// the map-backed form — the property the lowered-equivalence oracle
-// relies on with stochastic tags.
-func TestSlotDistMatchesDist(t *testing.T) {
-	for _, src := range []string{"exp(0.5)", "normal(2, 1)", "uniform(1, 4)", "empirical(1, 2, 3)"} {
-		d := mustDist(t, src)
-		sd := d.Resolve(func(string) expr.SlotRule { return expr.SlotRule{} })
-		a, b := sim.NewStream(42), sim.NewStream(42)
-		se := &expr.SlotEnv{Fallback: expr.Builtins}
-		for i := 0; i < 1000; i++ {
-			va, err := d.Sample(expr.Builtins, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vb, err := sd.Sample(se, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if va != vb {
-				t.Fatalf("%s draw %d: Dist %v, SlotDist %v", src, i, va, vb)
-			}
-		}
-	}
-}
-
 // ParseDist recognizes exactly the whole-source single-call form with
 // the right arity; everything else stays an ordinary expression.
 func TestParseDistRecognition(t *testing.T) {

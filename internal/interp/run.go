@@ -74,7 +74,7 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 		trace:    &trace.Trace{Model: pr.model.Name()},
 		noTrace:  cfg.NoTrace,
 		maxSteps: maxSteps,
-		crits:    map[string]*sim.Facility{},
+		crits:    map[critKey]*sim.Facility{},
 		rng:      sim.NewStream(seed),
 	}
 	rs.trace.SetMeta("nodes", fmt.Sprint(sp.Nodes))
@@ -171,7 +171,7 @@ type runState struct {
 	// crits holds the mutual-exclusion facility of each omp_critical
 	// element, one per (process, element): a critical section serializes
 	// the threads of its process but is independent across processes.
-	crits map[string]*sim.Facility
+	crits map[critKey]*sim.Facility
 	// rng drives weighted-branch selection, seeded from Config.Seed.
 	rng *sim.Stream
 	// noTrace suppresses event collection (makespan-only runs).
@@ -183,13 +183,19 @@ type runState struct {
 // critical returns (creating on first use) the 1-server facility guarding
 // an omp_critical element within one process.
 func (rs *runState) critical(pid int, elemID string) *sim.Facility {
-	key := fmt.Sprintf("%d/%s", pid, elemID)
+	key := critKey{pid, elemID}
 	if f, ok := rs.crits[key]; ok {
 		return f
 	}
-	f := rs.eng.NewFacility("critical:"+key, 1)
+	f := rs.eng.NewFacility("critical:"+strconv.Itoa(pid)+"/"+elemID, 1)
 	rs.crits[key] = f
 	return f
+}
+
+// critKey identifies one omp_critical element within one process.
+type critKey struct {
+	pid int
+	id  string
 }
 
 // envFor layers a locals frame over globals, system parameters and the

@@ -59,7 +59,7 @@ type runtimeState struct {
 	trace    *trace.Trace
 	uid      int
 	maxSteps int
-	crits    map[string]*sim.Facility
+	crits    map[critKey]*sim.Facility
 	rng      *sim.Stream
 	noTrace  bool
 	finished float64
@@ -88,17 +88,25 @@ func (rt *runtimeState) now() float64 {
 // critical returns (creating on first use) the 1-server facility guarding
 // an omp_critical element within one process.
 func (rt *runtimeState) critical(pid int, elemID string) *sim.Facility {
-	key := fmt.Sprintf("%d/%s", pid, elemID)
+	key := critKey{pid, elemID}
 	if f, ok := rt.crits[key]; ok {
 		return f
 	}
-	f := rt.eng.NewFacility(criticalName(key), 1)
+	f := rt.eng.NewFacility(criticalName(pid, elemID), 1)
 	rt.crits[key] = f
 	return f
 }
 
-// criticalName names the facility of a "pid/elemID" critical section.
-func criticalName(key string) string { return "critical:" + key }
+// critKey identifies one omp_critical element within one process.
+type critKey struct {
+	pid int
+	id  string
+}
+
+// criticalName names the facility of a critical section ("critical:pid/elemID").
+func criticalName(pid int, elemID string) string {
+	return "critical:" + strconv.Itoa(pid) + "/" + elemID
+}
 
 // frame is the per-(process, thread) execution context: the slot-backed
 // variable frame plus the step counter.
@@ -741,7 +749,7 @@ func (pr *Program) newRuntime(cfg interp.Config, sp machine.SystemParams, maxSte
 		trace:    &trace.Trace{Model: pr.parts.Model.Name()},
 		noTrace:  cfg.NoTrace,
 		maxSteps: maxSteps,
-		crits:    map[string]*sim.Facility{},
+		crits:    map[critKey]*sim.Facility{},
 		rng:      sim.NewStream(seed),
 		direct:   direct,
 		ctx:      cfg.Context,
@@ -849,7 +857,7 @@ func (d *directStats) FacilityUtilization() map[string]float64 {
 		out[machine.NICFacility(n)] = rt.busyShare(0, 1)
 	}
 	for id, busy := range rt.critBusy {
-		out[criticalName("0/"+id)] = rt.busyShare(busy, 1)
+		out[criticalName(0, id)] = rt.busyShare(busy, 1)
 	}
 	return out
 }
