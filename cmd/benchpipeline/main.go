@@ -50,6 +50,9 @@ type stageResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
+	// EventsPerOp is the simulate stage's amount of work: engine events
+	// per run, so its ns/op splits into work and cost per event.
+	EventsPerOp int64 `json:"events_per_op,omitempty"`
 }
 
 // sizeResult aggregates all stages at one generated model size.
@@ -124,7 +127,8 @@ func run(out, sizesFlag string, seed int64, baseline string, tolerance, budgetMs
 			"allocs from MemStats deltas) over deterministic modelgen " +
 			"models; frontend_wall_ms sums parse+check+traverse+compile+" +
 			"lower+codegen_cpp ns/op; simulate runs the lowered backend " +
-			"with NoTrace; peak_rss_kb is the process VmHWM (cumulative " +
+			"with NoTrace and reports its engine events per run as " +
+			"events_per_op (omitted for a direct-mode run); peak_rss_kb is the process VmHWM (cumulative " +
 			"across sizes). Regenerate with `make bench-pipeline`.",
 	}
 
@@ -212,6 +216,7 @@ func measureSize(seed int64, nodes int) (sizeResult, error) {
 	reg := profile.NewRegistry()
 	var prog *interp.Program
 	var lowered *lower.Program
+	var events int64
 
 	type stageDef struct {
 		name string
@@ -261,8 +266,14 @@ func measureSize(seed int64, nodes int) (sizeResult, error) {
 			return err
 		}},
 		{"simulate", func() error {
-			_, err := lowered.Run(interp.Config{NoTrace: true, Seed: 1})
-			return err
+			res, err := lowered.Run(interp.Config{NoTrace: true, Seed: 1})
+			if err != nil {
+				return err
+			}
+			if ev, ok := res.Stats.(interface{ EventsExecuted() int64 }); ok {
+				events = ev.EventsExecuted()
+			}
+			return nil
 		}},
 	}
 
@@ -270,6 +281,9 @@ func measureSize(seed int64, nodes int) (sizeResult, error) {
 		res, err := measureStage(st.name, nodes, st.fn)
 		if err != nil {
 			return sizeResult{}, fmt.Errorf("stage %s: %w", st.name, err)
+		}
+		if st.name == "simulate" {
+			res.EventsPerOp = events
 		}
 		sr.Stages = append(sr.Stages, res)
 		if frontendStages[st.name] {

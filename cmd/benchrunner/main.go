@@ -10,8 +10,9 @@
 //	go run ./cmd/benchrunner -o BENCH_runner.json
 //
 // Interpreting the speedup requires the host's core count, which is
-// recorded in the document as gomaxprocs: a single-core runner cannot
-// show parallel speedup no matter how good the fan-out is.
+// recorded in the document as gomaxprocs: a runner with fewer than four
+// cores cannot show a 4-worker speedup no matter how good the fan-out
+// is, so there the speedup is written as null.
 package main
 
 import (
@@ -56,10 +57,12 @@ type doc struct {
 	// the file records what the benchmarks actually ran under; NumCPU
 	// records the host's core count so trajectories measured on
 	// different machines stay interpretable.
-	GOMAXPROCS         int      `json:"gomaxprocs"`
-	NumCPU             int      `json:"num_cpu"`
-	Benchmarks         []result `json:"benchmarks"`
-	MonteCarloSpeedup4 float64  `json:"montecarlo_speedup_4_workers_vs_1"`
+	GOMAXPROCS int      `json:"gomaxprocs"`
+	NumCPU     int      `json:"num_cpu"`
+	Benchmarks []result `json:"benchmarks"`
+	// MonteCarloSpeedup4 is null when gomaxprocs < 4: four workers on
+	// fewer cores measure the core count, not the fan-out.
+	MonteCarloSpeedup4 *float64 `json:"montecarlo_speedup_4_workers_vs_1"`
 	// SpeedupLowered is the hold_loop_1000 interp ns/op divided by the
 	// lowered ns/op: how much faster the flat lowered program evaluates
 	// the same single-process model than the tree-walking interpreter.
@@ -286,7 +289,8 @@ func run(out string, minAnalyticSpeedup float64) error {
 			"(seed 1) and reports its engine events per op and ns per " +
 			"event; hold_loop_1000 evaluates the same workload as a model " +
 			"on each backend. montecarlo speedup is sequential ns/op " +
-			"divided by 4-worker ns/op and is bounded by gomaxprocs; " +
+			"divided by 4-worker ns/op and is bounded by gomaxprocs, so it " +
+			"is null when gomaxprocs < 4; " +
 			"speedup_lowered_vs_interp is hold_loop interp ns/op divided " +
 			"by lowered ns/op; analytic_query_mix runs one mode=analytic " +
 			"closed-form solve per op on the query-mix model, and " +
@@ -338,8 +342,9 @@ func run(out string, minAnalyticSpeedup float64) error {
 	seqStochastic := measure("montecarlo_64_stochastic_service_workers_1",
 		mc(ss, ssGlobals, 1, estimator.BackendLowered))
 	d.Benchmarks = append(d.Benchmarks, seq, par, seqInterp, par4Interp, seqStochastic)
-	if par.NsPerOp > 0 {
-		d.MonteCarloSpeedup4 = seq.NsPerOp / par.NsPerOp
+	if par.NsPerOp > 0 && d.GOMAXPROCS >= 4 {
+		speedup := seq.NsPerOp / par.NsPerOp
+		d.MonteCarloSpeedup4 = &speedup
 	}
 
 	mProg, err := e.CompileCached(m)
@@ -383,8 +388,12 @@ func run(out string, minAnalyticSpeedup float64) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (gomaxprocs=%d, num_cpu=%d, 64-run Monte Carlo speedup at 4 workers: %.2fx, lowered vs interp: %.2fx, analytic vs MC-64: %.0fx, keyed compile hit/miss: %.2g)\n",
-		out, d.GOMAXPROCS, d.NumCPU, d.MonteCarloSpeedup4, d.SpeedupLowered, d.SpeedupAnalytic, d.CompileHitShare)
+	mcSpeedup := "n/a (gomaxprocs < 4)"
+	if d.MonteCarloSpeedup4 != nil {
+		mcSpeedup = fmt.Sprintf("%.2fx", *d.MonteCarloSpeedup4)
+	}
+	fmt.Printf("wrote %s (gomaxprocs=%d, num_cpu=%d, 64-run Monte Carlo speedup at 4 workers: %s, lowered vs interp: %.2fx, analytic vs MC-64: %.0fx, keyed compile hit/miss: %.2g)\n",
+		out, d.GOMAXPROCS, d.NumCPU, mcSpeedup, d.SpeedupLowered, d.SpeedupAnalytic, d.CompileHitShare)
 	if minAnalyticSpeedup > 0 && d.SpeedupAnalytic < minAnalyticSpeedup {
 		return fmt.Errorf("analytic speedup %.1fx is below the %.0fx floor", d.SpeedupAnalytic, minAnalyticSpeedup)
 	}

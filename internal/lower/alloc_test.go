@@ -2,11 +2,13 @@ package lower
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"prophet/internal/builder"
 	"prophet/internal/interp"
 	"prophet/internal/machine"
+	"prophet/internal/modelgen"
 	"prophet/internal/uml"
 )
 
@@ -60,5 +62,104 @@ func TestDrawAllocsDoNotScaleWithJobs(t *testing.T) {
 	small, large := allocs(200), allocs(2000)
 	if small != large {
 		t.Errorf("allocs per run: %v at 200 jobs, %v at 2,000 jobs; want equal", small, large)
+	}
+}
+
+// forkLoopModel runs rounds two-branch forks in a loop. Diagram "spare"
+// is never executed; its vars loops only widen every frame's locals.
+func forkLoopModel(rounds, vars int) *uml.Model {
+	b := builder.New("fork-loop")
+	d := b.Diagram("main")
+	d.Initial()
+	d.Loop("Rounds", fmt.Sprint(rounds), "round").Var("r")
+	d.Final()
+	d.Chain("initial", "Rounds", "final")
+	round := b.Diagram("round")
+	round.Initial()
+	round.Fork("split")
+	round.Action("A").Cost("1")
+	round.Action("B").Cost("2")
+	round.Join("meet")
+	round.Final()
+	round.Flow("initial", "split").
+		Flow("split", "A").
+		Flow("split", "B").
+		Flow("A", "meet").
+		Flow("B", "meet").
+		Flow("meet", "final")
+	spare := b.Diagram("spare")
+	spare.Initial()
+	chain := []string{"initial"}
+	for i := 0; i < vars; i++ {
+		name := fmt.Sprintf("Idle%d", i)
+		spare.Loop(name, "0", "round").Var(fmt.Sprintf("v%d", i))
+		chain = append(chain, name)
+	}
+	spare.Final()
+	spare.Chain(append(chain, "final")...)
+	return builder.MustBuild(b)
+}
+
+// A forked branch allocates at most its sim.Process: frames, join
+// latches and process names are reused or built lazily, so a run's
+// allocations grow by at most one per executed branch and do not depend
+// on how many locals a frame carries.
+func TestForkAllocsPerBranch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	// One P keeps the engine's goroutine records on one free list.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cfg := interp.Config{Seed: 3, NoTrace: true}
+	allocs := func(rounds, vars int) float64 {
+		pr, err := interp.Compile(forkLoopModel(rounds, vars), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp := Lower(pr)
+		if lp.direct(cfg, machine.DefaultParams()) {
+			t.Fatal("fork loop runs in direct mode")
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := lp.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			// Let the run's released worker goroutines exit, so the next
+			// run's goroutines reuse their records instead of allocating.
+			runtime.Gosched()
+		})
+	}
+	small, large := allocs(100, 10), allocs(1000, 10)
+	if branches := 2.0 * (1000 - 100); large-small > branches {
+		t.Errorf("allocs per run: %v at 100 rounds, %v at 1,000 rounds; want at most %v more (one per branch)",
+			small, large, branches)
+	}
+	if wide := allocs(1000, 500); wide != large {
+		t.Errorf("allocs per run at 1,000 rounds: %v with 10 spare locals, %v with 500; want equal", large, wide)
+	}
+}
+
+// BenchmarkEngineForkModelgen2k is benchrunner's
+// engine_fork_modelgen_2k_lowered: one untraced engine-mode run of a
+// 2k-node modelgen model (seed 1) per op.
+func BenchmarkEngineForkModelgen2k(b *testing.B) {
+	m, err := modelgen.Generate(modelgen.Params{Seed: 1, Nodes: 2000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pr, err := interp.Compile(m, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lp := Lower(pr)
+	cfg := interp.Config{Seed: 1, NoTrace: true}
+	if lp.direct(cfg, machine.DefaultParams()) {
+		b.Fatal("model runs in direct mode")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := lp.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -76,6 +76,10 @@ type runtimeState struct {
 	ops      int64
 	ctx      context.Context
 	ctxCheck int
+
+	// free holds branch and thread frames whose process finished cleanly,
+	// for the next fork or parallel region to reuse.
+	free []*frame
 }
 
 func (rt *runtimeState) now() float64 {
@@ -117,6 +121,21 @@ type frame struct {
 	tid   int
 	env   expr.SlotEnv
 	steps int
+
+	// A branch or thread frame runs segment seg for the fork or parallel
+	// region spawnOp of parent; branch is its fork branch index. start is
+	// its process body, bound once per frame.
+	parent  *frame
+	spawnOp *op
+	seg     int
+	branch  int
+	start   func(*sim.Process)
+
+	// join and childErr belong to the fork or parallel region the frame
+	// is running: the latch its branches count down and the first error
+	// one of them returned. A frame waits on one join at a time.
+	join     *sim.Counter
+	childErr error
 }
 
 // dynEnv is a frame's fallback environment: it resolves slot-mapped names
@@ -252,17 +271,74 @@ func (rt *runtimeState) initGlobals(cfg interp.Config) error {
 	return nil
 }
 
-// child clones the frame for a forked branch or parallel-region thread.
-func (fr *frame) child(tid int) *frame {
-	nc := &frame{rt: fr.rt, pid: fr.pid, tid: tid}
-	nc.env = expr.SlotEnv{
-		Locals:  append([]float64(nil), fr.env.Locals...),
-		Defined: append([]bool(nil), fr.env.Defined...),
-		Globals: fr.rt.globals,
+// child clones the frame for a branch or thread running segment seg of
+// spawnOp. It reuses a frame from the run's free list when there is one,
+// copying the locals into the slices that frame already has, so a fork
+// allocates frames only up to the run's peak number of live branches. A
+// reused frame keeps its bound fallback environment and process body.
+func (fr *frame) child(spawnOp *op, seg, branch, tid int) *frame {
+	rt := fr.rt
+	var nc *frame
+	if n := len(rt.free); n > 0 {
+		nc = rt.free[n-1]
+		rt.free = rt.free[:n-1]
+		copy(nc.env.Locals, fr.env.Locals)
+		copy(nc.env.Defined, fr.env.Defined)
+		nc.steps = 0
+	} else {
+		nc = &frame{rt: rt}
+		nc.env = expr.SlotEnv{
+			Locals:  append([]float64(nil), fr.env.Locals...),
+			Defined: append([]bool(nil), fr.env.Defined...),
+			Globals: rt.globals,
+		}
+		nc.env.Fallback = rt.prog.parts.Lib.Bind(&dynEnv{fr: nc})
+		nc.start = nc.runChild
 	}
-	nc.env.Fallback = fr.rt.prog.parts.Lib.Bind(&dynEnv{fr: nc})
-	nc.env.Locals[fr.rt.prog.lay.tidSlot] = float64(tid)
+	nc.pid, nc.tid = fr.pid, tid
+	nc.parent, nc.spawnOp, nc.seg, nc.branch = fr, spawnOp, seg, branch
+	nc.env.Locals[rt.prog.lay.tidSlot] = float64(tid)
 	return nc
+}
+
+// Name names a branch or thread process as the interpreter does:
+// p<pid>.fork<id>.<branch> or p<pid>.omp<id>.t<tid>. The engine builds the
+// name only when something reads it; a frame is recycled only after its
+// process has finished, so the name is always the live process's.
+func (fr *frame) Name() string {
+	if fr.spawnOp.kind == opParallel {
+		return fmt.Sprintf("p%d.omp%s.t%d", fr.pid, fr.spawnOp.id, fr.tid)
+	}
+	return fmt.Sprintf("p%d.fork%s.%d", fr.pid, fr.spawnOp.id, fr.branch)
+}
+
+// runChild is a branch or thread process's body: it runs the segment,
+// records the first error at the parent, counts down the parent's join,
+// and, when the run succeeded, frees the frame for reuse. A frame whose
+// run failed is never reused: after a dangling fork edge its own branches
+// may still be running and will count down its join.
+func (fr *frame) runChild(p *sim.Process) {
+	fr.p = p
+	parent := fr.parent
+	err := fr.run(fr.seg)
+	if err != nil && parent.childErr == nil {
+		parent.childErr = err
+	}
+	parent.join.Done()
+	if err == nil {
+		fr.rt.free = append(fr.rt.free, fr)
+	}
+}
+
+// arm readies the frame's join latch for n branches or threads. The latch
+// has drained: the frame's previous fork or region waited for it.
+func (fr *frame) arm(n int) {
+	fr.childErr = nil
+	if fr.join == nil {
+		fr.join = fr.rt.eng.NewCounter("join", n)
+		return
+	}
+	fr.join.Reset(n)
 }
 
 // runAssign applies one pre-resolved code statement. Non-global targets
@@ -643,45 +719,36 @@ func (fr *frame) execParallel(o *op) error {
 	if o.body < 0 {
 		return o.bodyErr
 	}
-	join := rt.eng.NewCounter("omp:"+o.id, t)
-	var firstErr error
+	fr.arm(t)
 	for tid := 0; tid < t; tid++ {
-		worker := fr.child(tid)
-		rt.eng.Spawn(fmt.Sprintf("p%d.omp%s.t%d", fr.pid, o.id, tid), func(p *sim.Process) {
-			worker.p = p
-			defer join.Done()
-			if err := worker.run(o.body); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
+		worker := fr.child(o, o.body, 0, tid)
+		rt.eng.SpawnNamer(worker, worker.start)
 	}
-	join.Wait(fr.p)
-	return firstErr
+	fr.join.Wait(fr.p)
+	return fr.childErr
 }
 
+// execFork runs each branch as a process on a child frame, waits on the
+// frame's join latch, and fails with the first branch error in engine
+// order. Branches get recycled frames and lazily built names, so a fork
+// allocates only its sim.Process records.
 func (fr *frame) execFork(o *op) (int, error) {
 	rt := fr.rt
-	join := rt.eng.NewCounter("join:"+o.id, o.forkTotal)
-	var firstErr error
+	fr.arm(o.forkTotal)
 	for i, br := range o.branches {
-		branch := fr.child(fr.tid)
-		br := br
-		rt.eng.Spawn(fmt.Sprintf("p%d.fork%s.%d", fr.pid, o.id, i), func(p *sim.Process) {
-			branch.p = p
-			defer join.Done()
-			if err := branch.run(br); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		})
+		branch := fr.child(o, br, i, fr.tid)
+		rt.eng.SpawnNamer(branch, branch.start)
 	}
 	if o.err != nil {
 		// Dangling fork edge: fail after spawning the earlier branches,
 		// without waiting on the join — execution order matches fork().
+		// The spawned branches still count down fr.join, which is why
+		// runChild never recycles a frame whose run failed.
 		return 0, o.err
 	}
-	join.Wait(fr.p)
-	if firstErr != nil {
-		return 0, firstErr
+	fr.join.Wait(fr.p)
+	if err := fr.childErr; err != nil {
+		return 0, err
 	}
 	return o.next, nil
 }

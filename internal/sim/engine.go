@@ -244,13 +244,34 @@ func (e *Engine) After(dt float64, fn func()) { e.At(e.now+dt, fn) }
 // Spawn creates a process executing fn. The process starts at the current
 // simulated time, after the caller yields control.
 func (e *Engine) Spawn(name string, fn func(*Process)) *Process {
+	return e.spawn(name, nil, fn)
+}
+
+// Namer supplies a process name on demand (see SpawnNamer).
+type Namer interface{ Name() string }
+
+// SpawnNamer is Spawn for a process whose name is costly to build and
+// rarely read: n.Name is called the first time the name is read — by
+// Process.Name, a ProcessError, a panic report or a DeadlockError — and
+// the result is kept. n must return the process's name for as long as the
+// process is alive. With an observer installed the name is read at spawn,
+// so an observer that keeps the process sees the same name later.
+func (e *Engine) SpawnNamer(n Namer, fn func(*Process)) *Process {
+	return e.spawn("", n, fn)
+}
+
+func (e *Engine) spawn(name string, n Namer, fn func(*Process)) *Process {
 	p := &Process{
 		eng:   e,
 		name:  name,
+		namer: n,
 		body:  fn,
 		state: stateReady,
 	}
 	e.alive = append(e.alive, p)
+	if e.obs != nil {
+		p.Name()
+	}
 	e.trace(p, evSpawn)
 	e.schedule(e.now, p, nil)
 	return p
@@ -423,9 +444,9 @@ func (e *Engine) exec(p *Process) (finished bool) {
 			if f, isFail := r.(failure); isFail {
 				// A cooperative abort via Process.Fail: keep the error
 				// chain intact so callers can errors.Is/As through it.
-				e.err = &ProcessError{Process: p.name, Err: f.err}
+				e.err = &ProcessError{Process: p.Name(), Err: f.err}
 			} else {
-				e.err = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
+				e.err = fmt.Errorf("sim: process %q panicked: %v", p.Name(), r)
 			}
 		}
 		e.trace(p, evDone)
@@ -469,7 +490,7 @@ func (e *Engine) blockedProcesses() []string {
 	var out []string
 	for _, p := range e.alive {
 		if p.state == stateBlocked {
-			out = append(out, p.name)
+			out = append(out, p.Name())
 		}
 	}
 	sort.Strings(out)

@@ -344,3 +344,64 @@ func TestStreamsReproducible(t *testing.T) {
 		}
 	}
 }
+
+// countingNamer builds its name on demand and counts the calls.
+type countingNamer struct {
+	name  string
+	calls int
+}
+
+func (n *countingNamer) Name() string { n.calls++; return n.name }
+
+// A SpawnNamer process is named once, on the first read, and every
+// reader — Process.Name, DeadlockError, ProcessError — sees that name.
+func TestSpawnNamerNamesOnRead(t *testing.T) {
+	e := New()
+	mb := e.NewMailbox("never")
+	quiet := &countingNamer{name: "quiet"}
+	stuck := &countingNamer{name: "stuck"}
+	e.SpawnNamer(quiet, func(p *Process) { p.Hold(1) })
+	e.SpawnNamer(stuck, func(p *Process) {
+		if p.Name() != "stuck" || p.Name() != "stuck" {
+			t.Errorf("Name() = %q", p.Name())
+		}
+		mb.Receive(p)
+	})
+	_, err := e.Run()
+	var dl *DeadlockError
+	if !errors.As(err, &dl) || fmt.Sprint(dl.Processes) != "[stuck]" {
+		t.Fatalf("want a deadlock of [stuck], got %v", err)
+	}
+	if quiet.calls != 0 || stuck.calls != 1 {
+		t.Errorf("namer calls: quiet %d, stuck %d; want 0 and 1", quiet.calls, stuck.calls)
+	}
+
+	e = New()
+	failing := &countingNamer{name: "failing"}
+	e.SpawnNamer(failing, func(p *Process) { p.Fail(errors.New("boom")) })
+	_, err = e.Run()
+	var pe *ProcessError
+	if !errors.As(err, &pe) || pe.Process != "failing" || failing.calls != 1 {
+		t.Errorf("want ProcessError from %q after one namer call, got %v (%d calls)", "failing", err, failing.calls)
+	}
+}
+
+// With an observer installed, the name is fixed at spawn.
+func TestSpawnNamerObserverNamesAtSpawn(t *testing.T) {
+	e := New()
+	var seen []string
+	e.SetTracer(func(_ float64, p *Process, what string) {
+		if what == "spawn" {
+			seen = append(seen, p.Name())
+		}
+	})
+	n := &countingNamer{name: "branch"}
+	e.SpawnNamer(n, func(p *Process) {})
+	n.name = "reused"
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(seen) != "[branch]" || n.calls != 1 {
+		t.Errorf("observer saw %v after %d namer calls; want [branch] after 1", seen, n.calls)
+	}
+}

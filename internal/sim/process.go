@@ -27,6 +27,7 @@ const (
 type Process struct {
 	eng      *Engine
 	name     string
+	namer    Namer          // supplies name on first read (SpawnNamer)
 	body     func(*Process) // until the first dispatch
 	w        *worker        // goroutine running the process; nil until it starts
 	state    procState
@@ -52,8 +53,14 @@ func (p *Process) Fail(err error) {
 	panic(failure{err: err})
 }
 
-// Name returns the process name given at Spawn.
-func (p *Process) Name() string { return p.name }
+// Name returns the process name given at Spawn, or the one its Namer
+// supplies on the first call.
+func (p *Process) Name() string {
+	if p.namer != nil {
+		p.name, p.namer = p.namer.Name(), nil
+	}
+	return p.name
+}
 
 // Engine returns the owning engine.
 func (p *Process) Engine() *Engine { return p.eng }

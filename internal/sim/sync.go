@@ -119,6 +119,16 @@ func (c *Counter) Done() {
 	}
 }
 
+// Reset rearms a drained counter to expect n more Done calls, so a join
+// that repeats can reuse one latch. It panics if the counter has not
+// reached zero.
+func (c *Counter) Reset(n int) {
+	if c.n > 0 {
+		panic(fmt.Sprintf("sim: counter %q reset with %d Done calls outstanding", c.name, c.n))
+	}
+	c.n = n
+}
+
 // Wait blocks until the counter has reached zero.
 func (c *Counter) Wait(p *Process) {
 	if c.n <= 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -248,4 +249,44 @@ func TestCounterAlreadyDone(t *testing.T) {
 	if !ok {
 		t.Error("zero counter should not block")
 	}
+}
+
+// A drained counter rearmed with Reset joins the next group.
+func TestCounterReset(t *testing.T) {
+	e := New()
+	c := e.NewCounter("join", 2)
+	var joins []float64
+	e.Spawn("main", func(p *Process) {
+		for round := 0; round < 3; round++ {
+			if round > 0 {
+				c.Reset(2)
+			}
+			for i := 0; i < 2; i++ {
+				d := float64(i + 1)
+				e.Spawn("worker", func(p *Process) {
+					p.Hold(d)
+					c.Done()
+				})
+			}
+			c.Wait(p)
+			joins = append(joins, p.Now())
+		}
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(joins) != "[2 4 6]" {
+		t.Errorf("joins at %v, want [2 4 6]", joins)
+	}
+}
+
+func TestCounterResetUndrainedPanics(t *testing.T) {
+	c := New().NewCounter("join", 2)
+	c.Done()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "1 Done calls outstanding") {
+			t.Errorf("Reset of an undrained counter: recovered %v", r)
+		}
+	}()
+	c.Reset(2)
 }
