@@ -2,15 +2,19 @@
 
 GO ?= go
 
-.PHONY: all check build test vet race smoke loadtest bench bench-pipeline \
+.PHONY: all check fmt build test vet race smoke loadtest bench bench-pipeline \
 	bench-pipeline-check perfbench-test cover examples \
 	experiments conformance conformance-update fuzz-smoke clean
 
 all: check
 
-# The default gate: compile, vet, full test suite, and a race-detector
-# pass over the concurrency-heavy packages.
-check: build vet test race
+# The default gate: formatting, compile, vet, full test suite, and a
+# race-detector pass over the concurrency-heavy packages.
+check: fmt build vet test race
+
+# Fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -1,18 +1,26 @@
 package core
 
 import (
+	"errors"
+	"go/parser"
+	"go/token"
 	"testing"
 
+	"prophet/internal/cppgen"
 	"prophet/internal/samples"
+	"prophet/internal/uml"
 	"prophet/internal/xmi"
 )
 
 // FuzzPipeline hardens the whole pipeline against arbitrary model XML:
 // whatever the decoder accepts must flow through the checker, both code
 // generators and the simulator without panicking. Models the checker
-// rejects stop there (rejection is the correct outcome, not a bug); the
-// committed seeds under testdata/fuzz/FuzzPipeline cover malformed tags,
-// cyclic flows and NaN/Inf execution times.
+// rejects stop there (rejection is the correct outcome, not a bug). Of
+// the rest, accepted C++ must pass cppgen.ValidateStructure, accepted Go
+// must parse, and a structural refusal (a uml.FlowError from the shared
+// region tree) from one generator must be the same refusal from the
+// other. The committed seeds under testdata/fuzz/FuzzPipeline cover
+// malformed tags, cyclic flows and NaN/Inf execution times.
 func FuzzPipeline(f *testing.F) {
 	if s, err := xmi.EncodeString(samples.Sample()); err == nil {
 		f.Add(s)
@@ -38,12 +46,30 @@ func FuzzPipeline(f *testing.F) {
 		if rep.HasErrors() {
 			return
 		}
-		// Generators may still refuse (e.g. unstructured cycles); they just
-		// must not panic, and what they emit must be well-formed.
-		if _, err := p.TransformCpp(m); err == nil {
-			if _, err := p.TransformGo(m); err != nil {
-				t.Logf("cppgen accepted but gogen refused: %v", err)
+		cpp, cppErr := p.TransformCpp(m)
+		if cppErr == nil {
+			if err := cppgen.ValidateStructure(cpp); err != nil {
+				t.Fatalf("accepted C++ is malformed: %v\n%s", err, cpp)
 			}
+		}
+		goSrc, goErr := p.TransformGo(m)
+		if goErr == nil {
+			if _, err := parser.ParseFile(token.NewFileSet(), "model.go", goSrc, 0); err != nil {
+				t.Fatalf("accepted Go does not parse: %v\n%s", err, goSrc)
+			}
+		}
+		// Both generators fold the same region tree in the same order, so
+		// a structural defect stops both, unless one of them first fails
+		// to render something earlier in the flow (gogen has no ternary).
+		var cppFlow, goFlow *uml.FlowError
+		cppStruct, goStruct := errors.As(cppErr, &cppFlow), errors.As(goErr, &goFlow)
+		switch {
+		case cppStruct && goErr == nil:
+			t.Fatalf("cppgen refused structurally but gogen accepted: %v", cppErr)
+		case goStruct && cppErr == nil:
+			t.Fatalf("gogen refused structurally but cppgen accepted: %v", goErr)
+		case cppStruct && goStruct && cppFlow.Error() != goFlow.Error():
+			t.Fatalf("structural refusals differ:\n cppgen: %v\n gogen:  %v", cppErr, goErr)
 		}
 		// Simulate with a tight execution bound so runaway loops fail fast
 		// instead of timing out the fuzzer.

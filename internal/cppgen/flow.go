@@ -7,33 +7,27 @@ import (
 	"prophet/internal/uml"
 )
 
-// emitFlow is phase 6 of the Figure 5 algorithm (lines 29-35): it walks
-// the main diagram's control flow and emits, for each performance modeling
-// element, the C++ code that invokes its execute() method, in the order
-// specified by the UML model. Branch control flow maps to if/else-if
-// statements (paper, Figure 8b) and the content of activities and loops is
-// nested in place.
+// emitFlow is phase 6 of the Figure 5 algorithm (lines 29-35): it folds
+// the main diagram's region tree (uml.Diagram.Regions) and emits, for each
+// performance modeling element, the C++ code that invokes its execute()
+// method, in the order specified by the UML model. Branch control flow
+// maps to if/else-if statements (paper, Figure 8b) and the content of
+// activities and loops is nested in place.
 func (g *Generator) emitFlow(w *writer, m *uml.Model, names map[string]string) error {
+	w.line("// -- Execution flow --")
 	main := m.Main()
 	if main == nil {
-		w.line("// -- Execution flow --")
 		return nil
 	}
-	f := &flowEmitter{gen: g, model: m, names: names, w: w}
-	w.line("// -- Execution flow --")
+	f := &flowEmitter{model: m, names: names, w: w}
 	return f.emitDiagram(main)
 }
 
-// flowEmitter carries the state of one flow walk.
+// flowEmitter carries the state of one flow fold.
 type flowEmitter struct {
-	gen   *Generator
 	model *uml.Model
 	names map[string]string
 	w     *writer
-	// flowIdx caches one dense flow index per diagram so every decision
-	// and fork convergence query is integer BFS, not a string-keyed
-	// re-walk (quadratic per diagram before).
-	flowIdx map[*uml.Diagram]*uml.FlowIndex
 	// loopSeq numbers synthetic loop variables.
 	loopSeq int
 	// active guards against cyclic diagram nesting at emission time (the
@@ -42,8 +36,8 @@ type flowEmitter struct {
 	active []string
 }
 
-// emitDiagram emits the statements of a whole diagram, from its initial
-// node to its final node(s).
+// emitDiagram emits the statements of a whole diagram by folding its
+// region tree.
 func (f *flowEmitter) emitDiagram(d *uml.Diagram) error {
 	for _, name := range f.active {
 		if name == d.Name() {
@@ -52,92 +46,103 @@ func (f *flowEmitter) emitDiagram(d *uml.Diagram) error {
 	}
 	f.active = append(f.active, d.Name())
 	defer func() { f.active = f.active[:len(f.active)-1] }()
-
-	ini := d.Initial()
-	if ini == nil {
-		if len(d.Nodes()) == 0 {
-			return nil
-		}
-		return fmt.Errorf("cppgen: diagram %q has no initial node", d.Name())
-	}
-	start, err := f.successor(d, ini)
-	if err != nil {
-		return err
-	}
-	return f.emitSeq(d, start, nil, map[string]bool{})
+	r := d.Regions()
+	return f.emit(&r)
 }
 
-// emitSeq emits the statement sequence starting at cur and ending when the
-// walk reaches stop (exclusive) or a final node. onPath detects
-// unstructured cycles.
-func (f *flowEmitter) emitSeq(d *uml.Diagram, cur uml.Node, stop uml.Node, onPath map[string]bool) error {
-	for cur != nil {
-		if stop != nil && cur.ID() == stop.ID() {
-			return nil
-		}
-		if onPath[cur.ID()] {
-			return fmt.Errorf("cppgen: diagram %q: unstructured cycle through node %q; model loops with <<loop+>> elements",
-				d.Name(), cur.Name())
-		}
-		onPath[cur.ID()] = true
-
-		var err error
-		switch n := cur.(type) {
-		case *uml.ControlNode:
-			switch n.Kind() {
-			case uml.KindFinal:
-				return nil
-			case uml.KindMerge:
-				cur, err = f.successor(d, n)
-			case uml.KindDecision:
-				cur, err = f.emitDecision(d, n, onPath)
-			case uml.KindFork:
-				cur, err = f.emitFork(d, n, onPath)
-			case uml.KindJoin:
-				cur, err = f.successor(d, n)
-			default:
-				return fmt.Errorf("cppgen: diagram %q: unexpected %v mid-flow", d.Name(), n.Kind())
+// emit renders one region. Decisions map onto if/else-if chains (paper,
+// Figure 8b lines 77-87), probabilistic decisions draw once from the
+// runtime's pmp_rand(), and forks become PAR sections whose branches run
+// until the common join.
+func (f *flowEmitter) emit(r *uml.Region) error {
+	switch r.Kind {
+	case uml.RegionSeq:
+		for i := range r.Items {
+			if err := f.emit(&r.Items[i]); err != nil {
+				return err
 			}
+		}
+	case uml.RegionLeaf:
+		switch n := r.Node.(type) {
 		case *uml.ActionNode:
-			if err := f.emitAction(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
+			return f.emitAction(n)
 		case *uml.ActivityNode:
-			if err := f.emitActivity(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
+			return f.emitActivity(n)
 		case *uml.LoopNode:
-			if err := f.emitLoop(n); err != nil {
+			return f.emitLoop(n)
+		}
+	case uml.RegionGuarded:
+		for i := range r.Arms {
+			a := &r.Arms[i]
+			if a.Edge.IsElse() {
+				f.w.line("} else {")
+			} else {
+				guard, err := RenderExpr(a.Edge.Guard)
+				if err != nil {
+					return fmt.Errorf("cppgen: diagram %q: guard %q: %w", r.Node.Diagram().Name(), a.Edge.Guard, err)
+				}
+				if i == 0 {
+					f.w.line("if (%s) {", guard)
+				} else {
+					f.w.line("} else if (%s) {", guard)
+				}
+			}
+			if err := f.emitArm(a); err != nil {
 				return err
 			}
-			cur, err = f.successor(d, n)
-		default:
-			return fmt.Errorf("cppgen: unknown node type %T", cur)
 		}
-		if err != nil {
-			return err
+		f.w.line("}")
+	case uml.RegionWeighted:
+		var total float64
+		for _, a := range r.Arms {
+			total += a.Edge.Weight
 		}
+		f.w.line("{")
+		f.w.in()
+		f.w.line("double pmp_r = pmp_rand() * %g; // weighted branch", total)
+		acc := 0.0
+		for i := range r.Arms {
+			acc += r.Arms[i].Edge.Weight
+			switch {
+			case i == 0:
+				f.w.line("if (pmp_r < %g) {", acc)
+			case i == len(r.Arms)-1:
+				f.w.line("} else {")
+			default:
+				f.w.line("} else if (pmp_r < %g) {", acc)
+			}
+			if err := f.emitArm(&r.Arms[i]); err != nil {
+				return err
+			}
+		}
+		f.w.line("}")
+		f.w.out()
+		f.w.line("}")
+	case uml.RegionFork:
+		f.w.line("PAR_BEGIN // fork")
+		for i := range r.Arms {
+			f.w.line("PAR_BRANCH {")
+			if err := f.emitArm(&r.Arms[i]); err != nil {
+				return err
+			}
+			f.w.line("}")
+		}
+		f.w.line("PAR_END // join")
+	case uml.RegionErr:
+		if r.Err.Cycle {
+			return fmt.Errorf("cppgen: %w; model loops with <<loop+>> elements", r.Err)
+		}
+		return fmt.Errorf("cppgen: %w", r.Err)
 	}
 	return nil
 }
 
-// successor returns the unique next node, or nil at the end of the flow.
-func (f *flowEmitter) successor(d *uml.Diagram, n uml.Node) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	switch len(out) {
-	case 0:
-		return nil, nil
-	case 1:
-		next := d.Node(out[0].To())
-		if next == nil {
-			return nil, fmt.Errorf("cppgen: diagram %q: dangling edge from %q", d.Name(), n.Name())
-		}
-		return next, nil
-	}
-	return nil, fmt.Errorf("cppgen: diagram %q: %v %q has %d successors",
-		d.Name(), n.Kind(), n.Name(), len(out))
+// emitArm emits one branch body one level deeper.
+func (f *flowEmitter) emitArm(a *uml.Arm) error {
+	f.w.in()
+	err := f.emit(&a.Body)
+	f.w.out()
+	return err
 }
 
 // emitAction emits one element execution: the associated code fragment
@@ -168,19 +173,9 @@ func (f *flowEmitter) emitAction(n *uml.ActionNode) error {
 
 // executeArgs builds the execute() argument list for an action-like
 // element. All variants start with the context triple (uid, pid, tid); the
-// remaining arguments depend on the stereotype.
+// remaining arguments depend on the stereotype: the cost of a code block,
+// or the argument tags of a message-passing element.
 func (f *flowEmitter) executeArgs(n *uml.ActionNode) (string, error) {
-	renderTag := func(tag string) (string, error) {
-		raw, ok := n.Tag(tag)
-		if !ok {
-			return "", fmt.Errorf("cppgen: element %q: required tag %q unset", n.Name(), tag)
-		}
-		cpp, err := RenderExpr(raw)
-		if err != nil {
-			return "", fmt.Errorf("cppgen: element %q tag %q: %w", n.Name(), tag, err)
-		}
-		return cpp, nil
-	}
 	switch n.Stereotype() {
 	case profile.ActionPlus, profile.OMPCritical:
 		// The cost function wins; the `time` tagged value is the
@@ -200,50 +195,24 @@ func (f *flowEmitter) executeArgs(n *uml.ActionNode) (string, error) {
 			cost = c
 		}
 		return "uid, pid, tid, " + cost, nil
-	case profile.MPISend:
-		dest, err := renderTag(profile.TagDest)
-		if err != nil {
-			return "", err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("uid, pid, tid, /*dest*/ %s, /*size*/ %s", dest, size), nil
-	case profile.MPIRecv:
-		src, err := renderTag(profile.TagSrc)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("uid, pid, tid, /*src*/ %s", src), nil
-	case profile.MPISendrecv:
-		dest, err := renderTag(profile.TagDest)
-		if err != nil {
-			return "", err
-		}
-		src, err := renderTag(profile.TagSrc)
-		if err != nil {
-			return "", err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("uid, pid, tid, /*dest*/ %s, /*src*/ %s, /*size*/ %s", dest, src, size), nil
-	case profile.MPIBarrier:
-		return "uid, pid, tid", nil
-	case profile.MPIBroadcast, profile.MPIReduce:
-		root, err := renderTag(profile.TagRoot)
-		if err != nil {
-			return "", err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("uid, pid, tid, /*root*/ %s, /*size*/ %s", root, size), nil
 	}
-	return "", fmt.Errorf("cppgen: element %q: unsupported stereotype <<%s>>", n.Name(), n.Stereotype())
+	tags, ok := profile.MessageTags(n.Stereotype())
+	if !ok {
+		return "", fmt.Errorf("cppgen: element %q: unsupported stereotype <<%s>>", n.Name(), n.Stereotype())
+	}
+	args := "uid, pid, tid"
+	for _, tag := range tags {
+		raw, ok := n.Tag(tag)
+		if !ok {
+			return "", fmt.Errorf("cppgen: element %q: required tag %q unset", n.Name(), tag)
+		}
+		cpp, err := RenderExpr(raw)
+		if err != nil {
+			return "", fmt.Errorf("cppgen: element %q tag %q: %w", n.Name(), tag, err)
+		}
+		args += ", /*" + tag + "*/ " + cpp
+	}
+	return args, nil
 }
 
 // emitActivity nests the activity's content in place (paper: "the C++ code
@@ -270,9 +239,14 @@ func (f *flowEmitter) emitActivity(n *uml.ActivityNode) error {
 	if n.Stereotype() == profile.OMPParallel {
 		return f.emitParallelRegion(n)
 	}
-	body := f.model.DiagramByName(n.Body)
+	return f.emitBody("activity", n.Name(), n.Body)
+}
+
+// emitBody nests the body diagram of an activity, parallel region or loop.
+func (f *flowEmitter) emitBody(what, owner, name string) error {
+	body := f.model.DiagramByName(name)
 	if body == nil {
-		return fmt.Errorf("cppgen: activity %q references unknown diagram %q", n.Name(), n.Body)
+		return fmt.Errorf("cppgen: %s %q references unknown diagram %q", what, owner, name)
 	}
 	return f.emitDiagram(body)
 }
@@ -288,13 +262,9 @@ func (f *flowEmitter) emitParallelRegion(n *uml.ActivityNode) error {
 		}
 		count = c
 	}
-	body := f.model.DiagramByName(n.Body)
-	if body == nil {
-		return fmt.Errorf("cppgen: parallel region %q references unknown diagram %q", n.Name(), n.Body)
-	}
 	f.w.line("PARALLEL_FOR_THREADS(tid, (int)(%s)) {", count)
 	f.w.in()
-	if err := f.emitDiagram(body); err != nil {
+	if err := f.emitBody("parallel region", n.Name(), n.Body); err != nil {
 		return err
 	}
 	f.w.out()
@@ -313,192 +283,12 @@ func (f *flowEmitter) emitLoop(n *uml.LoopNode) error {
 		f.loopSeq++
 		v = fmt.Sprintf("it%d", f.loopSeq)
 	}
-	body := f.model.DiagramByName(n.Body)
-	if body == nil {
-		return fmt.Errorf("cppgen: loop %q references unknown diagram %q", n.Name(), n.Body)
-	}
 	f.w.line("for (int %s = 0; %s < (int)(%s); ++%s) { // loop %s", v, v, count, v, n.Name())
 	f.w.in()
-	if err := f.emitDiagram(body); err != nil {
+	if err := f.emitBody("loop", n.Name(), n.Body); err != nil {
 		return err
 	}
 	f.w.out()
 	f.w.line("}")
 	return nil
-}
-
-// emitDecision maps a decision node's branches onto an if/else-if chain
-// (paper, Figure 8b lines 77-87) and returns the node where the branches
-// converge, from which the sequence continues. Probabilistic decisions
-// (weighted, unguarded branches) draw from the runtime's pmp_rand().
-func (f *flowEmitter) emitDecision(d *uml.Diagram, n *uml.ControlNode, onPath map[string]bool) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) < 2 {
-		return nil, fmt.Errorf("cppgen: diagram %q: decision %q has %d branch(es)", d.Name(), n.Name(), len(out))
-	}
-	if out[0].Guard == "" && out[0].Weight > 0 {
-		return f.emitWeightedDecision(d, n, out, onPath)
-	}
-	// Guarded branches in model order; the else branch last.
-	var guarded []*uml.Edge
-	var elseEdge *uml.Edge
-	for _, e := range out {
-		if e.IsElse() {
-			if elseEdge != nil {
-				return nil, fmt.Errorf("cppgen: diagram %q: decision %q has two else branches", d.Name(), n.Name())
-			}
-			elseEdge = e
-			continue
-		}
-		if e.Guard == "" {
-			return nil, fmt.Errorf("cppgen: diagram %q: unguarded branch out of decision %q", d.Name(), n.Name())
-		}
-		guarded = append(guarded, e)
-	}
-	if len(guarded) == 0 {
-		return nil, fmt.Errorf("cppgen: diagram %q: decision %q has only an else branch", d.Name(), n.Name())
-	}
-
-	conv := f.convergenceOf(d, out)
-	emitBranch := func(head string) error {
-		node := d.Node(head)
-		if node == nil {
-			return fmt.Errorf("cppgen: diagram %q: dangling branch edge", d.Name())
-		}
-		f.w.in()
-		// Branch-local path set: the same node may legally appear on
-		// several alternative branches.
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		err := f.emitSeq(d, node, conv, branchPath)
-		f.w.out()
-		return err
-	}
-
-	for i, e := range guarded {
-		guard, err := RenderExpr(e.Guard)
-		if err != nil {
-			return nil, fmt.Errorf("cppgen: diagram %q: guard %q: %w", d.Name(), e.Guard, err)
-		}
-		if i == 0 {
-			f.w.line("if (%s) {", guard)
-		} else {
-			f.w.line("} else if (%s) {", guard)
-		}
-		if err := emitBranch(e.To()); err != nil {
-			return nil, err
-		}
-	}
-	if elseEdge != nil {
-		f.w.line("} else {")
-		if err := emitBranch(elseEdge.To()); err != nil {
-			return nil, err
-		}
-	}
-	f.w.line("}")
-	return conv, nil
-}
-
-// emitWeightedDecision renders a probabilistic branch: one draw from
-// pmp_rand(), compared against the cumulative branch probabilities.
-func (f *flowEmitter) emitWeightedDecision(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge, onPath map[string]bool) (uml.Node, error) {
-	var total float64
-	for _, e := range out {
-		if e.Guard != "" || e.Weight <= 0 {
-			return nil, fmt.Errorf("cppgen: diagram %q: decision %q mixes weighted and guarded branches",
-				d.Name(), n.Name())
-		}
-		total += e.Weight
-	}
-	conv := f.convergenceOf(d, out)
-	emitBranch := func(head string) error {
-		node := d.Node(head)
-		if node == nil {
-			return fmt.Errorf("cppgen: diagram %q: dangling branch edge", d.Name())
-		}
-		f.w.in()
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		err := f.emitSeq(d, node, conv, branchPath)
-		f.w.out()
-		return err
-	}
-	f.w.line("{")
-	f.w.in()
-	f.w.line("double pmp_r = pmp_rand() * %g; // weighted branch", total)
-	acc := 0.0
-	for i, e := range out {
-		acc += e.Weight
-		switch {
-		case i == 0:
-			f.w.line("if (pmp_r < %g) {", acc)
-		case i == len(out)-1:
-			f.w.line("} else {")
-		default:
-			f.w.line("} else if (pmp_r < %g) {", acc)
-		}
-		if err := emitBranch(e.To()); err != nil {
-			return nil, err
-		}
-	}
-	f.w.line("}")
-	f.w.out()
-	f.w.line("}")
-	return conv, nil
-}
-
-// emitFork emits a fork/join parallel section; each outgoing branch is a
-// parallel activity that runs until the common join node.
-func (f *flowEmitter) emitFork(d *uml.Diagram, n *uml.ControlNode, onPath map[string]bool) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) < 2 {
-		return nil, fmt.Errorf("cppgen: diagram %q: fork %q has %d branch(es)", d.Name(), n.Name(), len(out))
-	}
-	conv := f.convergenceOf(d, out)
-	f.w.line("PAR_BEGIN // fork")
-	for _, e := range out {
-		node := d.Node(e.To())
-		if node == nil {
-			return nil, fmt.Errorf("cppgen: diagram %q: dangling fork edge", d.Name())
-		}
-		f.w.line("PAR_BRANCH {")
-		f.w.in()
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		if err := f.emitSeq(d, node, conv, branchPath); err != nil {
-			return nil, err
-		}
-		f.w.out()
-		f.w.line("}")
-	}
-	f.w.line("PAR_END // join")
-	// Skip past the join node itself.
-	if conv != nil && conv.Kind() == uml.KindJoin {
-		return f.successor(d, conv)
-	}
-	return conv, nil
-}
-
-// convergenceOf finds where the branches out of a decision or fork meet
-// again (nil when they all run to final nodes without converging).
-func (f *flowEmitter) convergenceOf(d *uml.Diagram, branches []*uml.Edge) uml.Node {
-	if f.flowIdx == nil {
-		f.flowIdx = map[*uml.Diagram]*uml.FlowIndex{}
-	}
-	ix, ok := f.flowIdx[d]
-	if !ok {
-		ix = uml.NewFlowIndex(d)
-		f.flowIdx[d] = ix
-	}
-	heads := make([]string, len(branches))
-	for i, e := range branches {
-		heads[i] = e.To()
-	}
-	return ix.Convergence(heads)
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"prophet/internal/builder"
 	"prophet/internal/samples"
 	"prophet/internal/uml"
 )
@@ -26,6 +27,7 @@ func TestGeneratedGoCompiles(t *testing.T) {
 		"kernel6":          samples.Kernel6(),
 		"kernel6-detailed": samples.Kernel6Detailed(),
 		"pipeline":         samples.Pipeline(3),
+		"colliding-names":  collidingNames(),
 	}
 	gen := New()
 	for name, m := range models {
@@ -55,4 +57,18 @@ func TestGeneratedGoCompiles(t *testing.T) {
 			}
 		})
 	}
+}
+
+// collidingNames has element names the checker accepts but funcName maps
+// to one Go identifier per pair: work/Work and a-b/a_b.
+func collidingNames() *uml.Model {
+	b := builder.New("colliding-names")
+	d := b.Diagram("main")
+	d.Initial()
+	for _, name := range []string{"work", "Work", "a-b", "a_b"} {
+		d.Action(name).Tag("time", "1")
+	}
+	d.Final()
+	d.Chain("initial", "work", "Work", "a-b", "a_b", "final")
+	return builder.MustBuild(b)
 }

@@ -8,32 +8,16 @@ import (
 	"prophet/internal/uml"
 )
 
-// goFlow walks a diagram and emits Go control flow, mirroring the C++
-// generator's structured walk.
+// goFlow folds a diagram's region tree into Go control flow, as the C++
+// generator does into C++.
 type goFlow struct {
-	gen     *Generator
 	model   *uml.Model
+	names   map[string]string
 	w       *goWriter
 	indent  int
 	loopSeq int
 	wgSeq   int
 	active  []string
-	// flowIdx caches one dense flow index per diagram for convergence
-	// queries (see uml.FlowIndex).
-	flowIdx map[*uml.Diagram]*uml.FlowIndex
-}
-
-// convergence answers a convergence query through the per-diagram index.
-func (f *goFlow) convergence(d *uml.Diagram, heads []string) uml.Node {
-	if f.flowIdx == nil {
-		f.flowIdx = map[*uml.Diagram]*uml.FlowIndex{}
-	}
-	ix, ok := f.flowIdx[d]
-	if !ok {
-		ix = uml.NewFlowIndex(d)
-		f.flowIdx[d] = ix
-	}
-	return ix.Convergence(heads)
 }
 
 func (f *goFlow) line(format string, args ...interface{}) {
@@ -48,154 +32,140 @@ func (f *goFlow) emitDiagram(d *uml.Diagram) error {
 	}
 	f.active = append(f.active, d.Name())
 	defer func() { f.active = f.active[:len(f.active)-1] }()
-
-	ini := d.Initial()
-	if ini == nil {
-		if len(d.Nodes()) == 0 {
-			return nil
-		}
-		return fmt.Errorf("gogen: diagram %q has no initial node", d.Name())
-	}
-	start, err := f.successor(d, ini)
-	if err != nil {
-		return err
-	}
-	return f.emitSeq(d, start, nil, map[string]bool{})
+	r := d.Regions()
+	return f.emit(&r)
 }
 
-func (f *goFlow) emitSeq(d *uml.Diagram, cur uml.Node, stop uml.Node, onPath map[string]bool) error {
-	for cur != nil {
-		if stop != nil && cur.ID() == stop.ID() {
-			return nil
-		}
-		if onPath[cur.ID()] {
-			return fmt.Errorf("gogen: diagram %q: unstructured cycle through node %q", d.Name(), cur.Name())
-		}
-		onPath[cur.ID()] = true
-
-		var err error
-		switch n := cur.(type) {
-		case *uml.ControlNode:
-			switch n.Kind() {
-			case uml.KindFinal:
-				return nil
-			case uml.KindMerge, uml.KindJoin:
-				cur, err = f.successor(d, n)
-			case uml.KindDecision:
-				cur, err = f.emitDecision(d, n, onPath)
-			case uml.KindFork:
-				cur, err = f.emitFork(d, n, onPath)
-			default:
-				return fmt.Errorf("gogen: diagram %q: unexpected %v mid-flow", d.Name(), n.Kind())
+// emit renders one region: decisions as if/else-if chains or a switch over
+// one prophetRand() draw, forks as one goroutine per branch and a
+// WaitGroup.
+func (f *goFlow) emit(r *uml.Region) error {
+	switch r.Kind {
+	case uml.RegionSeq:
+		for i := range r.Items {
+			if err := f.emit(&r.Items[i]); err != nil {
+				return err
 			}
+		}
+	case uml.RegionLeaf:
+		switch n := r.Node.(type) {
 		case *uml.ActionNode:
-			if err := f.emitAction(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
+			return f.emitAction(n)
 		case *uml.ActivityNode:
-			if err := f.emitActivity(n); err != nil {
-				return err
-			}
-			cur, err = f.successor(d, n)
+			return f.emitActivity(n)
 		case *uml.LoopNode:
-			if err := f.emitLoop(n); err != nil {
+			return f.emitLoop(n)
+		}
+	case uml.RegionGuarded:
+		for i := range r.Arms {
+			a := &r.Arms[i]
+			if a.Edge.IsElse() {
+				f.line("} else {")
+			} else {
+				guard, err := renderGo(a.Edge.Guard)
+				if err != nil {
+					return fmt.Errorf("gogen: guard %q: %w", a.Edge.Guard, err)
+				}
+				if i == 0 {
+					f.line("if %s {", guard)
+				} else {
+					f.line("} else if %s {", guard)
+				}
+			}
+			if err := f.emitArm(a); err != nil {
 				return err
 			}
-			cur, err = f.successor(d, n)
-		default:
-			return fmt.Errorf("gogen: unknown node type %T", cur)
 		}
-		if err != nil {
-			return err
+		f.line("}")
+	case uml.RegionWeighted:
+		var total float64
+		for _, a := range r.Arms {
+			total += a.Edge.Weight
 		}
+		f.line("switch pmpR := prophetRand() * %g; { // weighted branch", total)
+		acc := 0.0
+		for i := range r.Arms {
+			acc += r.Arms[i].Edge.Weight
+			if i == len(r.Arms)-1 {
+				f.line("default:")
+			} else {
+				f.line("case pmpR < %g:", acc)
+			}
+			if err := f.emitArm(&r.Arms[i]); err != nil {
+				return err
+			}
+		}
+		f.line("}")
+	case uml.RegionFork:
+		f.wgSeq++
+		wg := fmt.Sprintf("wg%d", f.wgSeq)
+		f.line("var %s sync.WaitGroup // fork", wg)
+		for i := range r.Arms {
+			f.line("%s.Add(1)", wg)
+			f.line("go func() {")
+			f.indent++
+			f.line("defer %s.Done()", wg)
+			if err := f.emit(&r.Arms[i].Body); err != nil {
+				return err
+			}
+			f.indent--
+			f.line("}()")
+		}
+		f.line("%s.Wait() // join", wg)
+	case uml.RegionErr:
+		return fmt.Errorf("gogen: %w", r.Err)
 	}
 	return nil
 }
 
-func (f *goFlow) successor(d *uml.Diagram, n uml.Node) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	switch len(out) {
-	case 0:
-		return nil, nil
-	case 1:
-		next := d.Node(out[0].To())
-		if next == nil {
-			return nil, fmt.Errorf("gogen: diagram %q: dangling edge from %q", d.Name(), n.Name())
-		}
-		return next, nil
-	}
-	return nil, fmt.Errorf("gogen: diagram %q: %v %q has %d successors", d.Name(), n.Kind(), n.Name(), len(out))
+// emitArm emits one decision branch one level deeper.
+func (f *goFlow) emitArm(a *uml.Arm) error {
+	f.indent++
+	err := f.emit(&a.Body)
+	f.indent--
+	return err
 }
 
+// shims names the runtime shim each message-passing stereotype calls.
+var shims = map[string]string{
+	profile.MPISend:      "mpiSend",
+	profile.MPIRecv:      "mpiRecv",
+	profile.MPISendrecv:  "mpiSendrecv",
+	profile.MPIBarrier:   "mpiBarrier",
+	profile.MPIBroadcast: "mpiBcast",
+	profile.MPIReduce:    "mpiReduce",
+}
+
+// emitAction calls a code block's function, or the shim of a
+// message-passing element with its argument tags (0 where unset).
 func (f *goFlow) emitAction(n *uml.ActionNode) error {
-	renderTag := func(tag string) (string, error) {
-		raw, ok := n.Tag(tag)
-		if !ok {
-			return "0", nil
-		}
-		return renderGo(raw)
-	}
 	switch n.Stereotype() {
 	case "":
 		return nil
 	case profile.ActionPlus, profile.OMPCritical:
-		f.line("%s()", funcName(n.Name()))
-	case profile.MPISend:
-		dest, err := renderTag(profile.TagDest)
-		if err != nil {
-			return fmt.Errorf("gogen: %q dest: %w", n.Name(), err)
+		ident, ok := f.names[n.ID()]
+		if !ok {
+			return fmt.Errorf("gogen: element %q was not declared", n.Name())
 		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return fmt.Errorf("gogen: %q size: %w", n.Name(), err)
-		}
-		f.line("mpiSend(%s, %s)", dest, size)
-	case profile.MPIRecv:
-		src, err := renderTag(profile.TagSrc)
-		if err != nil {
-			return fmt.Errorf("gogen: %q src: %w", n.Name(), err)
-		}
-		f.line("mpiRecv(%s)", src)
-	case profile.MPISendrecv:
-		dest, err := renderTag(profile.TagDest)
-		if err != nil {
-			return fmt.Errorf("gogen: %q dest: %w", n.Name(), err)
-		}
-		src, err := renderTag(profile.TagSrc)
-		if err != nil {
-			return fmt.Errorf("gogen: %q src: %w", n.Name(), err)
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return fmt.Errorf("gogen: %q size: %w", n.Name(), err)
-		}
-		f.line("mpiSendrecv(%s, %s, %s)", dest, src, size)
-	case profile.MPIBarrier:
-		f.line("mpiBarrier()")
-	case profile.MPIBroadcast:
-		root, err := renderTag(profile.TagRoot)
-		if err != nil {
-			return err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return err
-		}
-		f.line("mpiBcast(%s, %s)", root, size)
-	case profile.MPIReduce:
-		root, err := renderTag(profile.TagRoot)
-		if err != nil {
-			return err
-		}
-		size, err := renderTag(profile.TagSize)
-		if err != nil {
-			return err
-		}
-		f.line("mpiReduce(%s, %s)", root, size)
-	default:
+		f.line("%s()", ident)
+		return nil
+	}
+	tags, ok := profile.MessageTags(n.Stereotype())
+	if !ok {
 		return fmt.Errorf("gogen: element %q: unsupported stereotype <<%s>>", n.Name(), n.Stereotype())
 	}
+	args := make([]string, len(tags))
+	for i, tag := range tags {
+		args[i] = "0"
+		if raw, ok := n.Tag(tag); ok {
+			a, err := renderGo(raw)
+			if err != nil {
+				return fmt.Errorf("gogen: %q %s: %w", n.Name(), tag, err)
+			}
+			args[i] = a
+		}
+	}
+	f.line("%s(%s)", shims[n.Stereotype()], strings.Join(args, ", "))
 	return nil
 }
 
@@ -260,154 +230,4 @@ func (f *goFlow) emitLoop(n *uml.LoopNode) error {
 	f.indent--
 	f.line("}")
 	return nil
-}
-
-func (f *goFlow) emitDecision(d *uml.Diagram, n *uml.ControlNode, onPath map[string]bool) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) > 0 && out[0].Guard == "" && out[0].Weight > 0 {
-		return f.emitWeightedDecision(d, n, out, onPath)
-	}
-	var guarded []*uml.Edge
-	var elseEdge *uml.Edge
-	for _, e := range out {
-		if e.IsElse() {
-			elseEdge = e
-			continue
-		}
-		if e.Guard == "" {
-			return nil, fmt.Errorf("gogen: diagram %q: unguarded branch out of decision", d.Name())
-		}
-		guarded = append(guarded, e)
-	}
-	if len(guarded) == 0 {
-		return nil, fmt.Errorf("gogen: diagram %q: decision %q needs at least one guarded branch", d.Name(), n.Name())
-	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := f.convergence(d, heads)
-
-	emitBranch := func(head string) error {
-		node := d.Node(head)
-		if node == nil {
-			return fmt.Errorf("gogen: diagram %q: dangling branch edge", d.Name())
-		}
-		f.indent++
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		err := f.emitSeq(d, node, conv, branchPath)
-		f.indent--
-		return err
-	}
-
-	for i, e := range guarded {
-		guard, err := renderGo(e.Guard)
-		if err != nil {
-			return nil, fmt.Errorf("gogen: guard %q: %w", e.Guard, err)
-		}
-		if i == 0 {
-			f.line("if %s {", guard)
-		} else {
-			f.line("} else if %s {", guard)
-		}
-		if err := emitBranch(e.To()); err != nil {
-			return nil, err
-		}
-	}
-	if elseEdge != nil {
-		f.line("} else {")
-		if err := emitBranch(elseEdge.To()); err != nil {
-			return nil, err
-		}
-	}
-	f.line("}")
-	return conv, nil
-}
-
-// emitWeightedDecision renders a probabilistic branch over prophetRand().
-func (f *goFlow) emitWeightedDecision(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge, onPath map[string]bool) (uml.Node, error) {
-	var total float64
-	for _, e := range out {
-		if e.Guard != "" || e.Weight <= 0 {
-			return nil, fmt.Errorf("gogen: diagram %q: decision %q mixes weighted and guarded branches",
-				d.Name(), n.Name())
-		}
-		total += e.Weight
-	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := f.convergence(d, heads)
-	emitBranch := func(head string) error {
-		node := d.Node(head)
-		if node == nil {
-			return fmt.Errorf("gogen: diagram %q: dangling branch edge", d.Name())
-		}
-		f.indent++
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		err := f.emitSeq(d, node, conv, branchPath)
-		f.indent--
-		return err
-	}
-	f.line("switch pmpR := prophetRand() * %g; { // weighted branch", total)
-	acc := 0.0
-	for i, e := range out {
-		acc += e.Weight
-		if i == len(out)-1 {
-			f.line("default:")
-		} else {
-			f.line("case pmpR < %g:", acc)
-		}
-		if err := emitBranch(e.To()); err != nil {
-			return nil, err
-		}
-	}
-	f.line("}")
-	return conv, nil
-}
-
-func (f *goFlow) emitFork(d *uml.Diagram, n *uml.ControlNode, onPath map[string]bool) (uml.Node, error) {
-	out := d.Outgoing(n.ID())
-	if len(out) < 2 {
-		return nil, fmt.Errorf("gogen: diagram %q: fork %q has %d branch(es)", d.Name(), n.Name(), len(out))
-	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := f.convergence(d, heads)
-	f.wgSeq++
-	wg := fmt.Sprintf("wg%d", f.wgSeq)
-	f.line("var %s sync.WaitGroup // fork", wg)
-	for _, e := range out {
-		node := d.Node(e.To())
-		if node == nil {
-			return nil, fmt.Errorf("gogen: diagram %q: dangling fork edge", d.Name())
-		}
-		f.line("%s.Add(1)", wg)
-		f.line("go func() {")
-		f.indent++
-		f.line("defer %s.Done()", wg)
-		branchPath := make(map[string]bool, len(onPath))
-		for id := range onPath {
-			branchPath[id] = true
-		}
-		if err := f.emitSeq(d, node, conv, branchPath); err != nil {
-			return nil, err
-		}
-		f.indent--
-		f.line("}()")
-	}
-	f.line("%s.Wait() // join", wg)
-	if conv != nil && conv.Kind() == uml.KindJoin {
-		return f.successor(d, conv)
-	}
-	return conv, nil
 }

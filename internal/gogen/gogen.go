@@ -83,11 +83,10 @@ func (g *Generator) Generate(m *uml.Model) (string, error) {
 		return "", err
 	}
 	g.emitRuntimeShims(gw)
-	if err := g.emitBlockFuncs(gw, m, sel.Selected); err != nil {
-		return "", err
-	}
+	names := blockNames(sel.Selected)
+	emitBlockFuncs(gw, sel.Selected, names)
 	if g.opts.EmitMain {
-		if err := g.emitMain(gw, m); err != nil {
+		if err := emitMain(gw, m, names); err != nil {
 			return "", err
 		}
 	}
@@ -190,23 +189,45 @@ func (g *Generator) emitRuntimeShims(gw *goWriter) {
 	gw.blank()
 }
 
-// emitBlockFuncs writes one function per action-like performance element.
-func (g *Generator) emitBlockFuncs(gw *goWriter, m *uml.Model, perf []uml.Element) error {
+// blockNames gives every action-like performance element its own Go
+// function name: funcName maps distinct element names such as "a-b" and
+// "a_b" to one identifier, so a repeat gets underscores appended until it
+// is unused.
+func blockNames(perf []uml.Element) map[string]string {
+	names := make(map[string]string, len(perf))
+	used := make(map[string]bool, len(perf))
 	for _, e := range perf {
-		a, ok := e.(*uml.ActionNode)
-		if !ok {
-			continue
-		}
-		switch a.Stereotype() {
+		switch e.Stereotype() {
 		case profile.ActionPlus, profile.OMPCritical:
 		default:
 			continue // MPI elements call shims inline
 		}
-		gw.line("// %s implements the code block modeled by element %s.", funcName(a.Name()), a.Name())
+		if _, ok := e.(*uml.ActionNode); !ok {
+			continue
+		}
+		ident := funcName(e.Name())
+		for used[ident] {
+			ident += "_"
+		}
+		used[ident] = true
+		names[e.ID()] = ident
+	}
+	return names
+}
+
+// emitBlockFuncs writes one function per action-like performance element.
+func emitBlockFuncs(gw *goWriter, perf []uml.Element, names map[string]string) {
+	for _, e := range perf {
+		ident, ok := names[e.ID()]
+		if !ok {
+			continue
+		}
+		a := e.(*uml.ActionNode)
+		gw.line("// %s implements the code block modeled by element %s.", ident, a.Name())
 		if a.CostFunc != "" {
 			gw.line("// Modeled execution time: %s.", a.CostFunc)
 		}
-		gw.line("func %s() {", funcName(a.Name()))
+		gw.line("func %s() {", ident)
 		if a.Code != "" {
 			for _, ln := range strings.Split(a.Code, "\n") {
 				gw.line("\t// %s", ln)
@@ -216,16 +237,14 @@ func (g *Generator) emitBlockFuncs(gw *goWriter, m *uml.Model, perf []uml.Elemen
 		gw.line("}")
 		gw.blank()
 	}
-	return nil
 }
 
-func (g *Generator) emitMain(gw *goWriter, m *uml.Model) error {
+func emitMain(gw *goWriter, m *uml.Model, names map[string]string) error {
 	gw.line("func main() {")
 	gw.line("\tuid, pid, tid = 0, 0, 0")
 	gw.line("\t_, _, _ = uid, pid, tid")
-	main := m.Main()
-	if main != nil {
-		f := &goFlow{gen: g, model: m, w: gw, indent: 1}
+	if main := m.Main(); main != nil {
+		f := &goFlow{model: m, names: names, w: gw, indent: 1}
 		if err := f.emitDiagram(main); err != nil {
 			return err
 		}
@@ -286,48 +305,14 @@ func renderGoNode(n expr.Node) (string, error) {
 		}
 		name := x.Name
 		switch name {
-		case "pow":
-			name = "math.Pow"
-		case "sqrt":
-			name = "math.Sqrt"
-		case "log":
-			name = "math.Log"
-		case "log2":
-			name = "math.Log2"
-		case "log10":
-			name = "math.Log10"
-		case "exp":
-			name = "math.Exp"
-		case "abs":
-			name = "math.Abs"
-		case "floor":
-			name = "math.Floor"
-		case "ceil":
-			name = "math.Ceil"
-		case "round":
-			name = "math.Round"
-		case "min":
-			name = "math.Min"
-		case "max":
-			name = "math.Max"
-		case "sin":
-			name = "math.Sin"
-		case "cos":
-			name = "math.Cos"
-		case "tan":
-			name = "math.Tan"
-		case "cbrt":
-			name = "math.Cbrt"
+		case "pow", "sqrt", "log", "log2", "log10", "exp", "abs", "floor", "ceil",
+			"round", "min", "max", "sin", "cos", "tan", "cbrt":
+			// Go's math package has each of these under the same name,
+			// capitalized.
+			name = "math." + strings.ToUpper(name[:1]) + name[1:]
 		}
 		return name + "(" + strings.Join(args, ", ") + ")", nil
 	case *expr.Unary:
-		if x.Op == "!" {
-			inner, err := renderGoOperand(x.X)
-			if err != nil {
-				return "", err
-			}
-			return "!" + inner, nil
-		}
 		inner, err := renderGoOperand(x.X)
 		if err != nil {
 			return "", err

@@ -37,6 +37,25 @@ const (
 	TagCount = "count" // iteration/thread count expression
 )
 
+// messageTags lists, per message-passing stereotype, the tags that carry
+// its call arguments, in call order.
+var messageTags = map[string][]string{
+	MPISend:      {TagDest, TagSize},
+	MPIRecv:      {TagSrc},
+	MPISendrecv:  {TagDest, TagSrc, TagSize},
+	MPIBarrier:   {},
+	MPIBroadcast: {TagRoot, TagSize},
+	MPIReduce:    {TagRoot, TagSize},
+}
+
+// MessageTags returns the argument tags of a message-passing stereotype, in
+// call order (none for a barrier); ok is false for any other stereotype.
+// The returned slice must not be modified.
+func MessageTags(stereotype string) (tags []string, ok bool) {
+	tags, ok = messageTags[stereotype]
+	return tags, ok
+}
+
 // standardProfile builds the stereotype definitions of the standard
 // performance profile.
 func standardProfile() []*Stereotype {

@@ -6,10 +6,9 @@ package uml
 // re-walks string-keyed adjacency maps; an index makes each query pure
 // integer BFS. The index is a snapshot: mutating the diagram after
 // building it leaves the index describing the old shape, so build it after
-// the diagram is complete (the generators and the lowerer index each
-// diagram they emit).
+// the diagram is complete (the region tree, the lowerer and the analytic
+// solver index each diagram they walk).
 type FlowIndex struct {
-	d   *Diagram
 	idx map[string]int32
 	// nodes[i] is the node at dense position i; positions past the
 	// diagram's real nodes are "virtual" targets of dangling edges (nil
@@ -32,7 +31,6 @@ type FlowIndex struct {
 func NewFlowIndex(d *Diagram) *FlowIndex {
 	nodes := d.Nodes()
 	ix := &FlowIndex{
-		d:     d,
 		idx:   make(map[string]int32, len(nodes)),
 		nodes: make([]Node, len(nodes), len(nodes)+4),
 	}
