@@ -99,16 +99,22 @@ conformance:
 conformance-update:
 	$(GO) run ./cmd/conformance update
 
-# Short fuzz pass over every target; long sessions are manual.
+# Short fuzz pass over every target; long sessions are manual. FUZZTIME
+# is the budget per target in seconds; the two whole-pipeline targets
+# (FuzzPipeline, FuzzAnalyticAgreement) get twice as long. CI runs
+# `make fuzz-smoke FUZZTIME=10`.
+FUZZTIME ?= 5
+FUZZTIME_LONG = $(shell expr $(FUZZTIME) \* 2)
+
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=5s ./internal/xmi/
-	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=5s ./internal/xmi/
-	$(GO) test -fuzz=FuzzParse -fuzztime=5s ./internal/expr/
-	$(GO) test -fuzz=FuzzEval -fuzztime=5s ./internal/expr/
-	$(GO) test -fuzz=FuzzRead -fuzztime=5s ./internal/trace/
-	$(GO) test -fuzz=FuzzPipeline -fuzztime=10s ./internal/core/
-	$(GO) test -fuzz=FuzzLoweredEquivalence -fuzztime=5s ./internal/lower/
-	$(GO) test -fuzz=FuzzAnalyticAgreement -fuzztime=5s ./internal/analytic/
+	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)s ./internal/xmi/
+	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME)s ./internal/xmi/
+	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME)s ./internal/expr/
+	$(GO) test -fuzz=FuzzEval -fuzztime=$(FUZZTIME)s ./internal/expr/
+	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME)s ./internal/trace/
+	$(GO) test -fuzz=FuzzPipeline -fuzztime=$(FUZZTIME_LONG)s ./internal/core/
+	$(GO) test -fuzz=FuzzLoweredEquivalence -fuzztime=$(FUZZTIME)s ./internal/lower/
+	$(GO) test -fuzz=FuzzAnalyticAgreement -fuzztime=$(FUZZTIME_LONG)s ./internal/analytic/
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt conformance-report.json

@@ -104,7 +104,7 @@ func BenchmarkNavigator(b *testing.B) {
 	})
 }
 
-// --- Ablation: interpreted AST vs compiled closures for cost functions --
+// --- Ablation: by-name vs slot-resolved closures for cost functions ----
 
 func BenchmarkExpr(b *testing.B) {
 	src := "M * (N-1) * N / 2 * c + sqrt(P) / (1 + pid)"
@@ -118,13 +118,16 @@ func BenchmarkExpr(b *testing.B) {
 	node := expr.MustParse(src)
 	compiled := expr.Compile(node)
 	folded := expr.Compile(expr.Fold(node))
-	b.Run("interpreted", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := node.Eval(full); err != nil {
-				b.Fatal(err)
-			}
+	// The lowered backend's form: every variable in a global slot, the
+	// sqrt call through the fallback.
+	slots := map[string]int{"M": 0, "N": 1, "c": 2, "P": 3, "pid": 4}
+	slotted := compiled.Resolve(func(name string) expr.SlotRule {
+		if i, ok := slots[name]; ok {
+			return expr.SlotRule{Kind: expr.SlotGlobal, Global: i}
 		}
+		return expr.SlotRule{Kind: expr.SlotDynamic}
 	})
+	frame := &expr.SlotEnv{Globals: []float64{10, 1000, 1e-9, 16, 3}, Fallback: expr.Builtins}
 	b.Run("compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := compiled.Eval(full); err != nil {
@@ -135,6 +138,13 @@ func BenchmarkExpr(b *testing.B) {
 	b.Run("compiled-folded", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := folded.Eval(full); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("slotted", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := slotted.Eval(frame); err != nil {
 				b.Fatal(err)
 			}
 		}

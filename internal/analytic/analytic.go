@@ -126,7 +126,6 @@ func Solve(m *uml.Model, cfg Config) (*Result, error) {
 
 	w := &walker{
 		model:   m,
-		lib:     lib,
 		sp:      sp.Env(),
 		globals: map[string]float64{},
 		locals:  map[string]float64{"pid": 0, "tid": 0, "uid": 0},
@@ -137,6 +136,7 @@ func Solve(m *uml.Model, cfg Config) (*Result, error) {
 		dists:    map[string]*expr.Dist{},
 		profiles: map[string]*bodyProfile{},
 	}
+	w.env = lib.Bind(w)
 	if w.maxSteps <= 0 {
 		w.maxSteps = 50_000_000
 	}
@@ -194,8 +194,10 @@ func (m *moments) add(o moments) {
 // walker is the solver state: variable frames plus the moments
 // accumulator threading through walk calls.
 type walker struct {
-	model    *uml.Model
-	lib      *expr.Library
+	model *uml.Model
+	// env resolves expressions: the model's functions over the walker's
+	// variable frames, bound once for every evaluation.
+	env      expr.Env
 	sp       map[string]float64
 	globals  map[string]float64
 	locals   map[string]float64
@@ -350,7 +352,7 @@ func (w *walker) evalSrc(src string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.Eval(w.lib.Bind(w))
+	return c.Eval(w.env)
 }
 
 // parseDist recognizes src as a distribution literal, honoring
@@ -756,7 +758,7 @@ func (w *walker) applyCode(code, name string) error {
 		if err != nil {
 			continue // non-expression right-hand sides are documentation
 		}
-		v, err := c.Eval(w.lib.Bind(w))
+		v, err := c.Eval(w.env)
 		if err != nil {
 			return fmt.Errorf("analytic: code of %q: %w", name, err)
 		}
@@ -797,7 +799,7 @@ func (w *walker) cost(costFunc string, e uml.Element) (moments, error) {
 	}
 	if d, ok := w.parseDist(src); ok {
 		w.stochastic = true
-		mean, varv, err := d.Moments(w.lib.Bind(w))
+		mean, varv, err := d.Moments(w.env)
 		if err != nil {
 			return moments{}, fmt.Errorf("analytic: cost of %q: %w", e.Name(), err)
 		}

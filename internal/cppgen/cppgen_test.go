@@ -703,3 +703,65 @@ func TestEmptyModel(t *testing.T) {
 		t.Errorf("even an empty model yields a program shell:\n%s", out)
 	}
 }
+
+// TestGenerateExprErrorText pins the full error text for a malformed
+// expression in each place the flow emitter renders one: a single
+// "cppgen: " prefix, the owning element, then the parser's own message.
+func TestGenerateExprErrorText(t *testing.T) {
+	const parseErr = `expr: expected operand, found end of expression at offset 3 in "1 +"`
+	for _, tc := range []struct {
+		name  string
+		build func(b *builder.ModelBuilder, d *builder.DiagramBuilder)
+		want  string
+	}{
+		{"guard", func(b *builder.ModelBuilder, d *builder.DiagramBuilder) {
+			d.Decision("D")
+			d.Action("A").Cost("1")
+			d.Action("B").Cost("2")
+			d.Merge("M")
+			d.Flow("initial", "D").FlowIf("D", "A", "1 +").FlowIf("D", "B", "else")
+			d.Chain("A", "M", "final").Flow("B", "M")
+		}, `cppgen: diagram "main": guard "1 +": ` + parseErr},
+		{"cost", func(b *builder.ModelBuilder, d *builder.DiagramBuilder) {
+			d.Action("A").Cost("1 +")
+			d.Chain("initial", "A", "final")
+		}, `cppgen: element "A" cost function: ` + parseErr},
+		{"tag", func(b *builder.ModelBuilder, d *builder.DiagramBuilder) {
+			d.MPI("S", profile.MPISend).Tag(profile.TagDest, "1 +").Tag(profile.TagSize, "8")
+			d.Chain("initial", "S", "final")
+		}, `cppgen: element "S" tag "dest": ` + parseErr},
+		{"parallel count", func(b *builder.ModelBuilder, d *builder.DiagramBuilder) {
+			team := b.Diagram("team")
+			team.Initial()
+			team.Final()
+			team.Flow("initial", "final")
+			par := d.Activity("R", "team").Tag(profile.TagCount, "1 +")
+			par.Node().SetStereotype(profile.OMPParallel)
+			d.Chain("initial", "R", "final")
+		}, `cppgen: parallel region "R" count: ` + parseErr},
+		{"loop count", func(b *builder.ModelBuilder, d *builder.DiagramBuilder) {
+			body := b.Diagram("body")
+			body.Initial()
+			body.Final()
+			body.Flow("initial", "final")
+			d.Loop("L", "1 +", "body")
+			d.Chain("initial", "L", "final")
+		}, `cppgen: loop "L" count: ` + parseErr},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := builder.New("m")
+			d := b.Diagram("main")
+			d.Initial()
+			d.Final()
+			tc.build(b, d)
+			m, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = New().Generate(m)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("Generate error = %v\nwant %s", err, tc.want)
+			}
+		})
+	}
+}

@@ -13,11 +13,12 @@ import (
 // is close to the identity; the two differences are the remainder operator
 // (C++ '%' is integral only, so 'a % b' becomes 'fmod(a, b)') and fully
 // parenthesized composite operands, which makes the emitted text
-// precedence-proof.
+// precedence-proof. A parse error is returned as is; callers prefix it
+// with what the expression belongs to.
 func RenderExpr(src string) (string, error) {
 	n, err := expr.Parse(src)
 	if err != nil {
-		return "", fmt.Errorf("cppgen: %w", err)
+		return "", err
 	}
 	return renderNode(n), nil
 }

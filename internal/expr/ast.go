@@ -6,19 +6,12 @@ import (
 	"strings"
 )
 
-// Node is a parsed expression node. Nodes are immutable after parsing and
-// safe for concurrent evaluation against different environments.
+// Node is a parsed expression node. Nodes are immutable after parsing;
+// Compile builds the closure that evaluates one.
 type Node interface {
-	// Eval evaluates the node in env.
-	Eval(env Env) (float64, error)
 	// String renders the node back to (normalized) source text.
 	String() string
-	// compile lowers the node to a closure for repeated evaluation.
-	compile() compiled
 }
-
-// compiled is the closure form produced by Compile.
-type compiled func(env Env) (float64, error)
 
 // Num is a numeric literal.
 type Num struct{ Value float64 }

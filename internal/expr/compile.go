@@ -1,22 +1,24 @@
 package expr
 
-// Compiled is a pre-lowered expression: a closure tree that avoids the
-// per-node type switch of interpreted evaluation. The simulator compiles
-// every cost function and guard once before a run and evaluates the
-// compiled form in its inner loop (ablation: BenchmarkExpr in bench_test.go
-// measures interpreted vs compiled evaluation).
+// Compiled is a parsed expression (folded, when built by
+// CompileStringFolded) together with its normalized source and its by-name
+// closure: the slot builder run with a layout that leaves every name
+// dynamic, so each variable and function resolves through the Env passed
+// to Eval. The simulator compiles every
+// cost function and guard once before a run; the lowered backend
+// re-resolves the same node against its slot layout (Resolve).
 type Compiled struct {
-	fn   compiled
+	fn   slotted
 	src  string
 	node Node
 }
 
-// Compile lowers a parsed expression to its closure form.
+// Compile builds the by-name closure of a parsed expression.
 func Compile(n Node) *Compiled {
-	return &Compiled{fn: n.compile(), src: n.String(), node: n}
+	return &Compiled{fn: resolveSlots(n, byName), src: n.String(), node: n}
 }
 
-// CompileString parses and lowers src.
+// CompileString parses and compiles src.
 func CompileString(src string) (*Compiled, error) {
 	n, err := Parse(src)
 	if err != nil {
@@ -25,7 +27,7 @@ func CompileString(src string) (*Compiled, error) {
 	return Compile(n), nil
 }
 
-// CompileStringFolded parses src, constant-folds it, and lowers the
+// CompileStringFolded parses src, constant-folds it, and compiles the
 // result. The simulator compiles all model expressions this way; folding
 // is semantics-preserving (see TestQuickFoldEquivalence).
 func CompileStringFolded(src string) (*Compiled, error) {
@@ -36,118 +38,9 @@ func CompileStringFolded(src string) (*Compiled, error) {
 	return Compile(Fold(n)), nil
 }
 
-// Eval evaluates the compiled expression in env.
-func (c *Compiled) Eval(env Env) (float64, error) { return c.fn(env) }
+// Eval evaluates the compiled expression in env. Like slot-resolved
+// evaluation it allocates only the argument list of each function call.
+func (c *Compiled) Eval(env Env) (float64, error) { return c.fn(nil, env) }
 
 // String returns the normalized source of the compiled expression.
 func (c *Compiled) String() string { return c.src }
-
-func (n *Num) compile() compiled {
-	v := n.Value
-	return func(Env) (float64, error) { return v, nil }
-}
-
-func (n *Var) compile() compiled {
-	name := n.Name
-	return func(env Env) (float64, error) {
-		v, ok := env.Var(name)
-		if !ok {
-			return 0, &UndefinedError{Kind: "variable", Name: name}
-		}
-		return v, nil
-	}
-}
-
-func (n *Call) compile() compiled {
-	name := n.Name
-	args := make([]compiled, len(n.Args))
-	for i, a := range n.Args {
-		args[i] = a.compile()
-	}
-	return func(env Env) (float64, error) {
-		f, ok := env.Func(name)
-		if !ok {
-			return 0, &UndefinedError{Kind: "function", Name: name}
-		}
-		vals := make([]float64, len(args))
-		for i, a := range args {
-			v, err := a(env)
-			if err != nil {
-				return 0, err
-			}
-			vals[i] = v
-		}
-		return f(vals)
-	}
-}
-
-func (n *Unary) compile() compiled {
-	x := n.X.compile()
-	op := n.Op
-	return func(env Env) (float64, error) {
-		v, err := x(env)
-		if err != nil {
-			return 0, err
-		}
-		return applyUnary(op, v)
-	}
-}
-
-func (n *Binary) compile() compiled {
-	l, r := n.L.compile(), n.R.compile()
-	switch n.Op {
-	case "&&":
-		return func(env Env) (float64, error) {
-			lv, err := l(env)
-			if err != nil || !Truthy(lv) {
-				return 0, err
-			}
-			rv, err := r(env)
-			if err != nil {
-				return 0, err
-			}
-			return boolVal(Truthy(rv)), nil
-		}
-	case "||":
-		return func(env Env) (float64, error) {
-			lv, err := l(env)
-			if err != nil {
-				return 0, err
-			}
-			if Truthy(lv) {
-				return 1, nil
-			}
-			rv, err := r(env)
-			if err != nil {
-				return 0, err
-			}
-			return boolVal(Truthy(rv)), nil
-		}
-	}
-	op := n.Op
-	return func(env Env) (float64, error) {
-		lv, err := l(env)
-		if err != nil {
-			return 0, err
-		}
-		rv, err := r(env)
-		if err != nil {
-			return 0, err
-		}
-		return applyBinary(op, lv, rv)
-	}
-}
-
-func (n *Cond) compile() compiled {
-	c, a, b := n.C.compile(), n.A.compile(), n.B.compile()
-	return func(env Env) (float64, error) {
-		cv, err := c(env)
-		if err != nil {
-			return 0, err
-		}
-		if Truthy(cv) {
-			return a(env)
-		}
-		return b(env)
-	}
-}

@@ -82,22 +82,24 @@ func argBuf(buf *[distStackArgs]float64, n int) []float64 {
 	return make([]float64, n)
 }
 
-// Dist is a parsed distribution literal with compiled, constant-folded
-// argument expressions.
+// Dist is a parsed distribution literal with constant-folded argument
+// expressions. It evaluates and draws through its by-name SlotDist (a
+// layout that leaves every name dynamic), so Dist and the lowered
+// backend's SlotDist share one sampling path.
 type Dist struct {
-	Kind DistKind
-	Args []*Compiled
-	src  string
+	Kind   DistKind
+	args   []Node    // folded argument expressions
+	byName *SlotDist // args resolved with every name dynamic
+	src    string
 }
 
 // ParseDist reports whether src is a distribution literal — the entire
 // source is one top-level call to a distribution constructor with the
 // right arity — and parses it if so. Each argument is constant-folded
-// (Fold) before it is compiled, like every other model expression, so
-// `normal(0.005, 2*0.001)` samples from constant arguments. A false
-// return means src is an ordinary expression (including sources that do
-// not parse at all; those surface their error through the normal
-// expression path).
+// (Fold) like every other model expression, so `normal(0.005, 2*0.001)`
+// samples from constant arguments. A false return means src is an
+// ordinary expression (including sources that do not parse at all; those
+// surface their error through the normal expression path).
 //
 // Callers that support model-defined functions should skip the
 // distribution reading when the model defines a function of the same
@@ -112,11 +114,13 @@ func ParseDist(src string) (*Dist, bool) {
 	if !ok {
 		return nil, false
 	}
-	args := make([]*Compiled, len(argNodes))
+	args := make([]Node, len(argNodes))
 	for i, a := range argNodes {
-		args[i] = Compile(Fold(a))
+		args[i] = Fold(a)
 	}
-	return &Dist{Kind: distArity[name].kind, Args: args, src: src}, true
+	d := &Dist{Kind: distArity[name].kind, args: args, src: src}
+	d.byName = d.Resolve(byName)
+	return d, true
 }
 
 // DistCall reports whether a parsed node is a distribution literal — a
@@ -145,41 +149,20 @@ func DistCall(n Node) (name string, args []Node, ok bool) {
 // String returns the literal's source.
 func (d *Dist) String() string { return d.src }
 
-// evalArgs evaluates the argument expressions against env.
-func (d *Dist) evalArgs(env Env) ([]float64, error) {
-	vals := make([]float64, len(d.Args))
-	for i, a := range d.Args {
-		v, err := a.Eval(env)
-		if err != nil {
-			return nil, fmt.Errorf("distribution %s: %w", d.src, err)
-		}
-		vals[i] = v
-	}
-	return vals, nil
-}
-
 // Sample evaluates the arguments against env and draws one value from s.
 // Every call consumes exactly one draw from the sampler (the sampler
 // itself may consume more underlying randomness, deterministically); a
 // failed argument consumes none.
 func (d *Dist) Sample(env Env, s Sampler) (float64, error) {
-	var buf [distStackArgs]float64
-	vals := argBuf(&buf, len(d.Args))
-	for i, a := range d.Args {
-		v, err := a.Eval(env)
-		if err != nil {
-			return 0, fmt.Errorf("distribution %s: %w", d.src, err)
-		}
-		vals[i] = v
-	}
-	return drawDist(d.Kind, vals, s), nil
+	return d.byName.sample(nil, env, s)
 }
 
 // Moments evaluates the arguments against env and returns the closed-form
 // mean and variance of the draw, matching the sampling semantics exactly
 // (in particular the truncation at zero of Normal draws).
 func (d *Dist) Moments(env Env) (mean, variance float64, err error) {
-	vals, err := d.evalArgs(env)
+	var buf [distStackArgs]float64
+	vals, err := d.byName.eval(nil, env, &buf)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -187,29 +170,29 @@ func (d *Dist) Moments(env Env) (mean, variance float64, err error) {
 	return mean, variance, nil
 }
 
-// Resolve pre-resolves the (already folded) argument expressions against
-// a slot layout, mirroring Compiled.Resolve, for the lowered backend.
-// When every argument folded to a constant, the values are kept so
-// sampling evaluates nothing.
+// Resolve resolves the (already folded) argument expressions against a
+// slot layout, mirroring Compiled.Resolve, for the lowered backend. When
+// every argument folded to a constant, the values are kept so sampling
+// evaluates nothing.
 func (d *Dist) Resolve(rule func(name string) SlotRule) *SlotDist {
-	args := make([]*Slotted, len(d.Args))
-	consts := make([]float64, len(d.Args))
-	for i, a := range d.Args {
-		args[i] = a.Resolve(rule)
-		if n, ok := a.node.(*Num); ok && consts != nil {
+	args := make([]slotted, len(d.args))
+	consts := make([]float64, len(d.args))
+	for i, a := range d.args {
+		args[i] = resolveSlots(a, rule)
+		if n, ok := a.(*Num); ok && consts != nil {
 			consts[i] = n.Value
 		} else {
 			consts = nil
 		}
 	}
-	return &SlotDist{Kind: d.Kind, Args: args, consts: consts, src: d.src}
+	return &SlotDist{Kind: d.Kind, args: args, consts: consts, src: d.src}
 }
 
 // SlotDist is a distribution literal whose argument expressions have been
 // slot-resolved. Produced by Dist.Resolve.
 type SlotDist struct {
 	Kind   DistKind
-	Args   []*Slotted
+	args   []slotted
 	consts []float64 // argument values when all are constant, else nil
 	src    string
 }
@@ -218,22 +201,42 @@ type SlotDist struct {
 func (d *SlotDist) String() string { return d.src }
 
 // Sample evaluates the arguments against the frame and draws one value
-// from s, bit-identical to Dist.Sample over the same argument values and
-// sampler state.
+// from s. Dist.Sample runs the same code with every name dynamic, so both
+// draw bit-identical values over the same argument values and sampler
+// state.
 func (d *SlotDist) Sample(se *SlotEnv, s Sampler) (float64, error) {
+	return d.sample(se, se.Fallback, s)
+}
+
+// sample is the one draw path of Dist and SlotDist. Constant arguments
+// skip the call to eval: one 64-run Monte Carlo batch of the stochastic
+// service model draws ~5*10^5 times.
+func (d *SlotDist) sample(se *SlotEnv, env Env, s Sampler) (float64, error) {
 	if d.consts != nil {
 		return drawDist(d.Kind, d.consts, s), nil
 	}
 	var buf [distStackArgs]float64
-	vals := argBuf(&buf, len(d.Args))
-	for i, a := range d.Args {
-		v, err := a.Eval(se)
+	vals, err := d.eval(se, env, &buf)
+	if err != nil {
+		return 0, err
+	}
+	return drawDist(d.Kind, vals, s), nil
+}
+
+// eval returns the argument values, evaluated into buf when they fit.
+func (d *SlotDist) eval(se *SlotEnv, env Env, buf *[distStackArgs]float64) ([]float64, error) {
+	if d.consts != nil {
+		return d.consts, nil
+	}
+	vals := argBuf(buf, len(d.args))
+	for i, a := range d.args {
+		v, err := a(se, env)
 		if err != nil {
-			return 0, fmt.Errorf("distribution %s: %w", d.src, err)
+			return nil, fmt.Errorf("distribution %s: %w", d.src, err)
 		}
 		vals[i] = v
 	}
-	return drawDist(d.Kind, vals, s), nil
+	return vals, nil
 }
 
 // drawDist performs the single draw. The per-family sampler calls mirror

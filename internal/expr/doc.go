@@ -21,7 +21,8 @@
 //     used by branch guards such as "GV > 0"
 //   - the conditional operator cond ? a : b
 //
-// Expressions are parsed once into an AST (Parse) and can then either be
-// interpreted against an Env (Node.Eval) or compiled to a closure tree
-// (Compile) for repeated evaluation in the simulator's inner loop.
+// Expressions are parsed once into an AST (Parse) and evaluated through one
+// closure builder: Compile resolves every name by name against an Env,
+// and Compiled.Resolve places names in the integer slots of a reusable
+// frame (SlotEnv) for the lowered simulator's inner loop.
 package expr

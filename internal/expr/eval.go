@@ -15,44 +15,6 @@ func boolVal(b bool) float64 {
 	return 0
 }
 
-// Eval implements Node.
-func (n *Num) Eval(Env) (float64, error) { return n.Value, nil }
-
-// Eval implements Node.
-func (n *Var) Eval(env Env) (float64, error) {
-	v, ok := env.Var(n.Name)
-	if !ok {
-		return 0, &UndefinedError{Kind: "variable", Name: n.Name}
-	}
-	return v, nil
-}
-
-// Eval implements Node.
-func (n *Call) Eval(env Env) (float64, error) {
-	f, ok := env.Func(n.Name)
-	if !ok {
-		return 0, &UndefinedError{Kind: "function", Name: n.Name}
-	}
-	args := make([]float64, len(n.Args))
-	for i, a := range n.Args {
-		v, err := a.Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		args[i] = v
-	}
-	return f(args)
-}
-
-// Eval implements Node.
-func (n *Unary) Eval(env Env) (float64, error) {
-	x, err := n.X.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	return applyUnary(n.Op, x)
-}
-
 func applyUnary(op string, x float64) (float64, error) {
 	switch op {
 	case "-":
@@ -61,40 +23,6 @@ func applyUnary(op string, x float64) (float64, error) {
 		return boolVal(!Truthy(x)), nil
 	}
 	return 0, fmt.Errorf("expr: unknown unary operator %q", op)
-}
-
-// Eval implements Node.
-func (n *Binary) Eval(env Env) (float64, error) {
-	l, err := n.L.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	// Short-circuit logic operators.
-	switch n.Op {
-	case "&&":
-		if !Truthy(l) {
-			return 0, nil
-		}
-		r, err := n.R.Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		return boolVal(Truthy(r)), nil
-	case "||":
-		if Truthy(l) {
-			return 1, nil
-		}
-		r, err := n.R.Eval(env)
-		if err != nil {
-			return 0, err
-		}
-		return boolVal(Truthy(r)), nil
-	}
-	r, err := n.R.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	return applyBinary(n.Op, l, r)
 }
 
 func applyBinary(op string, l, r float64) (float64, error) {
@@ -131,24 +59,12 @@ func applyBinary(op string, l, r float64) (float64, error) {
 	return 0, fmt.Errorf("expr: unknown binary operator %q", op)
 }
 
-// Eval implements Node.
-func (n *Cond) Eval(env Env) (float64, error) {
-	c, err := n.C.Eval(env)
-	if err != nil {
-		return 0, err
-	}
-	if Truthy(c) {
-		return n.A.Eval(env)
-	}
-	return n.B.Eval(env)
-}
-
-// Eval parses and evaluates src in one step. Prefer Parse + Node.Eval (or
-// Compile) when the same expression is evaluated repeatedly.
+// Eval parses and evaluates src in one step. Prefer Compile when the same
+// expression is evaluated repeatedly.
 func Eval(src string, env Env) (float64, error) {
 	n, err := Parse(src)
 	if err != nil {
 		return 0, err
 	}
-	return n.Eval(env)
+	return resolveSlots(n, byName)(nil, env)
 }

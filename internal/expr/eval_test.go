@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func evalOK(t *testing.T, src string, env Env) float64 {
@@ -134,43 +133,6 @@ func TestBuiltinArityChecks(t *testing.T) {
 		if _, err := Eval(src, env); err == nil {
 			t.Errorf("Eval(%q) should fail with arity error", src)
 		}
-	}
-}
-
-func TestCompiledMatchesInterpreted(t *testing.T) {
-	env := NewMapEnv()
-	env.Funcs = map[string]Func{}
-	for name, f := range builtinFuncs {
-		env.Funcs[name] = f
-	}
-	sources := []string{
-		"1 + 2*x - y/3",
-		"x > y ? sqrt(x) : pow(y, 2)",
-		"min(x, y) + max(x, y)",
-		"x && y || !x",
-		"x % (y + 1)",
-	}
-	f := func(x, y float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
-			return true
-		}
-		env.Set("x", x)
-		env.Set("y", y)
-		for _, src := range sources {
-			n := MustParse(src)
-			iv, ierr := n.Eval(env)
-			cv, cerr := Compile(n).Eval(env)
-			if (ierr == nil) != (cerr == nil) {
-				return false
-			}
-			if ierr == nil && iv != cv && !(math.IsNaN(iv) && math.IsNaN(cv)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

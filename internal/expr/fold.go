@@ -4,7 +4,9 @@ package expr
 // the environment are evaluated once at compile time. Model expressions
 // are full of literal arithmetic (`8 * n`, `1024 * 1024`, guard constants)
 // that the simulator would otherwise recompute on every element execution;
-// interp compiles folded trees (ablation: BenchmarkExpr/folded).
+// both simulation backends and the analytic solver compile folded trees
+// (ablation: BenchmarkExpr/compiled-folded). A constant subtree evaluates
+// through the same closure builder as every other expression.
 //
 // Only total operations fold: division/remainder by a constant zero is
 // left in place so evaluation reports the error with its environment, and
@@ -14,6 +16,9 @@ func Fold(n Node) Node {
 	folded, _ := fold(n)
 	return folded
 }
+
+// constValue evaluates a subtree whose operands are all constants.
+func constValue(n Node) (float64, error) { return resolveSlots(n, byName)(nil, Builtins) }
 
 // fold returns the folded node and whether it is a constant.
 func fold(n Node) (Node, bool) {
@@ -34,7 +39,7 @@ func fold(n Node) (Node, bool) {
 		// Builtins are pure; user functions may be redefined per model,
 		// so only builtins fold.
 		if allConst && IsBuiltin(x.Name) {
-			if v, err := out.Eval(Builtins); err == nil {
+			if v, err := constValue(out); err == nil {
 				return &Num{Value: v}, true
 			}
 		}
@@ -43,7 +48,7 @@ func fold(n Node) (Node, bool) {
 		fx, c := fold(x.X)
 		out := &Unary{Op: x.Op, X: fx}
 		if c {
-			if v, err := out.Eval(nil); err == nil {
+			if v, err := constValue(out); err == nil {
 				return &Num{Value: v}, true
 			}
 		}
@@ -80,14 +85,14 @@ func fold(n Node) (Node, bool) {
 			// division-by-zero error surfaces at eval time, not silently
 			// at fold time.
 			if cl && cr && fr.(*Num).Value != 0 {
-				if v, err := out.Eval(nil); err == nil {
+				if v, err := constValue(out); err == nil {
 					return &Num{Value: v}, true
 				}
 			}
 			return out, false
 		}
 		if cl && cr {
-			if v, err := out.Eval(nil); err == nil {
+			if v, err := constValue(out); err == nil {
 				return &Num{Value: v}, true
 			}
 		}

@@ -44,7 +44,7 @@ func TestFoldPreservesErrors(t *testing.T) {
 		}
 		env := NewMapEnv()
 		env.Set("x", 1)
-		if _, err := n.Eval(env); err == nil {
+		if _, err := Compile(n).Eval(env); err == nil {
 			t.Errorf("Fold(%q) lost the runtime error", src)
 		}
 	}
@@ -110,8 +110,8 @@ func TestQuickFoldEquivalence(t *testing.T) {
 		env.Set("x", x)
 		env.Set("y", y)
 		full := Chain{env, Builtins}
-		v1, err1 := n.Eval(full)
-		v2, err2 := Fold(n).Eval(full)
+		v1, err1 := Compile(n).Eval(full)
+		v2, err2 := Compile(Fold(n)).Eval(full)
 		if (err1 == nil) != (err2 == nil) {
 			t.Logf("%q: error mismatch: %v vs %v", src, err1, err2)
 			return false

@@ -25,10 +25,23 @@ func (fuzzEnv) Var(name string) (float64, bool) {
 
 func (fuzzEnv) Func(name string) (Func, bool) { return Builtins.Func(name) }
 
+// fuzzSlots places x in a local slot and zero in a global slot, with the
+// values fuzzEnv binds them to; every other name stays dynamic.
+func fuzzSlots(name string) SlotRule {
+	switch name {
+	case "x":
+		return SlotRule{Kind: SlotLocal, Local: 0}
+	case "zero":
+		return SlotRule{Kind: SlotGlobal, Global: 0}
+	}
+	return SlotRule{Kind: SlotDynamic}
+}
+
 // FuzzEval hardens compilation and evaluation: whatever parses must
 // compile and evaluate without panicking (NaN/Inf results are legal —
 // models carry measured times, and measurements go bad), evaluation must
-// be deterministic, and constant folding must not change the value.
+// be deterministic, and neither constant folding nor slot resolution may
+// change the outcome or the value.
 func FuzzEval(f *testing.F) {
 	for _, seed := range []string{
 		"x + 1",
@@ -72,6 +85,16 @@ func FuzzEval(f *testing.F) {
 		}
 		if err1 == nil && !sameFloat(v1, v3) {
 			t.Fatalf("folding changed the value of %q: %g vs %g", src, v1, v3)
+		}
+		// Reading x and zero from slots must match reading them by name,
+		// error text included.
+		se := &SlotEnv{Locals: []float64{2.5}, Globals: []float64{0}, Fallback: fuzzEnv{}}
+		v4, err4 := c.Resolve(fuzzSlots).Eval(se)
+		if (err1 == nil) != (err4 == nil) || err1 != nil && err1.Error() != err4.Error() {
+			t.Fatalf("slot resolution changed the outcome of %q: %v vs %v", src, err1, err4)
+		}
+		if err1 == nil && !sameFloat(v1, v4) {
+			t.Fatalf("slot resolution changed the value of %q: %g vs %g", src, v1, v4)
 		}
 	})
 }

@@ -28,7 +28,7 @@ type Library struct {
 
 type libFunc struct {
 	def  Def
-	body *Compiled
+	body *Slotted // formal parameter i reads Locals[i]
 }
 
 // NewLibrary compiles a set of definitions. Bodies are parsed eagerly so
@@ -50,10 +50,24 @@ func NewLibrary(defs []Def) (*Library, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expr: function %q: %w", d.Name, err)
 		}
-		lib.defs[d.Name] = &libFunc{def: d, body: body}
+		lib.defs[d.Name] = &libFunc{def: d, body: body.Resolve(paramSlots(d.Params))}
 		lib.order = append(lib.order, d.Name)
 	}
 	return lib, nil
+}
+
+// paramSlots places each formal parameter in the local slot of its
+// position (the first of duplicate names wins); every other name stays
+// dynamic.
+func paramSlots(params []string) func(string) SlotRule {
+	return func(name string) SlotRule {
+		for i, p := range params {
+			if p == name {
+				return SlotRule{Kind: SlotLocal, Local: i}
+			}
+		}
+		return SlotRule{Kind: SlotDynamic}
+	}
 }
 
 // Names returns the defined function names in definition order.
@@ -118,30 +132,17 @@ func (b *boundLibrary) call(f *libFunc) Func {
 			return 0, fmt.Errorf("expr: call depth exceeds %d (recursive cost function %q?)",
 				maxCallDepth, f.def.Name)
 		}
-		frame := &paramFrame{
-			names:  f.def.Params,
-			values: args,
-			next:   &boundLibrary{lib: b.lib, outer: b.outer, depth: b.depth + 1},
-		}
-		return f.body.Eval(frame)
+		// The frame is one allocation: the arguments become its locals,
+		// and names without a slot resolve through the library one
+		// level deeper.
+		fr := &callFrame{lib: boundLibrary{lib: b.lib, outer: b.outer, depth: b.depth + 1}}
+		fr.se = SlotEnv{Locals: args, Fallback: &fr.lib}
+		return f.body.Eval(&fr.se)
 	}
 }
 
-// paramFrame binds a function's formal parameters in front of the library
-// environment.
-type paramFrame struct {
-	names  []string
-	values []float64
-	next   Env
+// callFrame is the evaluation frame of one user-function call.
+type callFrame struct {
+	se  SlotEnv
+	lib boundLibrary
 }
-
-func (p *paramFrame) Var(name string) (float64, bool) {
-	for i, n := range p.names {
-		if n == name {
-			return p.values[i], true
-		}
-	}
-	return p.next.Var(name)
-}
-
-func (p *paramFrame) Func(name string) (Func, bool) { return p.next.Func(name) }

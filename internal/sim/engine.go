@@ -103,25 +103,6 @@ func (e *Engine) Now() float64 { return e.now }
 // after the run returns (the goroutine holding control owns the counter).
 func (e *Engine) EventsExecuted() int64 { return e.executed }
 
-// SetTracer installs a callback observing process lifecycle transitions
-// ("spawn", "run", "hold", "block", "done"). Pass nil to remove it.
-//
-// Deprecated: SetTracer predates the Observer interface and survives as a
-// thin adapter over it — the callback is wrapped into an Observer whose
-// Sample method is a no-op, so installing a tracer replaces any observer
-// set via SetObserver (and vice versa). New code should implement
-// Observer and call SetObserver, which additionally delivers telemetry
-// samples (facility utilization, queue lengths, event-queue depth).
-func (e *Engine) SetTracer(f func(t float64, p *Process, what string)) {
-	if f == nil {
-		if _, ok := e.obs.(tracerAdapter); ok {
-			e.obs = nil
-		}
-		return
-	}
-	e.SetObserver(tracerAdapter{fn: f}, 0)
-}
-
 // lifecycle is a process lifecycle transition kind.
 type lifecycle uint8
 

@@ -211,12 +211,19 @@ func TestRunWithNoEvents(t *testing.T) {
 	}
 }
 
+// eventFunc is an Observer that hands lifecycle events to a func and
+// ignores samples.
+type eventFunc func(t float64, p *Process, what string)
+
+func (f eventFunc) Event(t float64, p *Process, what string) { f(t, p, what) }
+func (eventFunc) Sample(Sample)                              {}
+
 func TestTracerObservesLifecycle(t *testing.T) {
 	e := New()
 	var events []string
-	e.SetTracer(func(tm float64, p *Process, what string) {
+	e.SetObserver(eventFunc(func(tm float64, p *Process, what string) {
 		events = append(events, fmt.Sprintf("%s:%s", p.Name(), what))
-	})
+	}), 0)
 	e.Spawn("p", func(p *Process) { p.Hold(1) })
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -224,7 +231,7 @@ func TestTracerObservesLifecycle(t *testing.T) {
 	joined := strings.Join(events, ",")
 	for _, want := range []string{"p:spawn", "p:run", "p:hold", "p:done"} {
 		if !strings.Contains(joined, want) {
-			t.Errorf("tracer missed %q: %v", want, events)
+			t.Errorf("observer missed %q: %v", want, events)
 		}
 	}
 }
@@ -390,11 +397,11 @@ func TestSpawnNamerNamesOnRead(t *testing.T) {
 func TestSpawnNamerObserverNamesAtSpawn(t *testing.T) {
 	e := New()
 	var seen []string
-	e.SetTracer(func(_ float64, p *Process, what string) {
+	e.SetObserver(eventFunc(func(_ float64, p *Process, what string) {
 		if what == "spawn" {
 			seen = append(seen, p.Name())
 		}
-	})
+	}), 0)
 	n := &countingNamer{name: "branch"}
 	e.SpawnNamer(n, func(p *Process) {})
 	n.name = "reused"
