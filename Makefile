@@ -4,7 +4,7 @@ GO ?= go
 
 .PHONY: all check fmt build test vet race smoke loadtest bench bench-pipeline \
 	bench-pipeline-check perfbench-test cover examples \
-	experiments conformance conformance-update fuzz-smoke clean
+	experiments conformance conformance-update fuzz-smoke loc clean
 
 all: check
 
@@ -115,6 +115,10 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzPipeline -fuzztime=$(FUZZTIME_LONG)s ./internal/core/
 	$(GO) test -fuzz=FuzzLoweredEquivalence -fuzztime=$(FUZZTIME)s ./internal/lower/
 	$(GO) test -fuzz=FuzzAnalyticAgreement -fuzztime=$(FUZZTIME_LONG)s ./internal/analytic/
+
+# Non-test Go lines outside perfbench/, the size metric ROADMAP tracks.
+loc:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt conformance-report.json

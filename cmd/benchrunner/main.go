@@ -3,7 +3,7 @@
 // (BENCH_runner.json by default) so the performance trajectory is
 // tracked across PRs: ns/op and allocs/op per benchmark, plus the
 // wall-clock speedup of a 64-run Monte Carlo batch at 4 workers vs 1,
-// and the cost of a keyed compile-cache hit against a miss on a
+// the cost of reusing a prepared model record against preparing one on a
 // 10^4-node model, and the cost per event of an engine-mode lowered run
 // of a 2k-node forking model.
 //
@@ -16,7 +16,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,7 +32,6 @@ import (
 	"prophet/internal/modelgen"
 	"prophet/internal/sim"
 	"prophet/internal/uml"
-	"prophet/internal/xmi"
 )
 
 // result is one benchmark's measurement.
@@ -72,11 +70,11 @@ type doc struct {
 	// query-mix model: what the closed-form fast path saves over the
 	// simulation batch a mean estimate of comparable confidence needs.
 	SpeedupAnalytic float64 `json:"speedup_analytic_vs_montecarlo_64"`
-	// CompileHitShare is the compile_keyed_hit_10k ns/op divided by the
-	// compile_keyed_miss_10k ns/op: what a repeat request on a stored
-	// model pays for its program, as a share of checking and compiling.
-	CompileHitShare float64 `json:"compile_keyed_hit_share_of_miss"`
-	Note            string  `json:"note"`
+	// RecordReuseShare is the record_reuse_10k ns/op divided by the
+	// record_prepare_10k ns/op: what a repeat request on a stored model
+	// pays for its program, as a share of checking and compiling.
+	RecordReuseShare float64 `json:"record_reuse_share_of_prepare"`
+	Note             string  `json:"note"`
 }
 
 func measure(name string, fn func(b *testing.B)) result {
@@ -136,52 +134,37 @@ func holdLoopModel() (*uml.Model, error) {
 	return mb.Build()
 }
 
-// compileCache measures the estimator's compile cache on a 10^4-node
-// generated model whose content address is known, as a server's model
-// store knows it: a keyed miss (check and compile), a keyed hit, and a
-// hit that hashes the model to find its key.
-func compileCache() ([]result, error) {
+// records measures the estimator's model record on a 10^4-node
+// generated model: preparing a fresh record (check and compile), and
+// preparing a record that is already prepared, which is what every
+// evaluation of a stored model does.
+func records() ([]result, error) {
 	m, err := modelgen.Generate(modelgen.Params{Seed: 1, Nodes: 10000})
 	if err != nil {
 		return nil, err
 	}
-	key, err := xmi.Hash(m)
-	if err != nil {
+	e := estimator.New()
+	prepare := measure("record_prepare_10k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := e.Prepare(estimator.NewRecord(m)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	rec := estimator.NewRecord(m)
+	if err := e.Prepare(rec); err != nil {
 		return nil, err
 	}
-	ctx := context.Background()
-	warm := estimator.New()
-	if _, err := warm.CompileKeyedCtx(ctx, key, m); err != nil {
-		return nil, err
-	}
-	miss := measure("compile_keyed_miss_10k", func(b *testing.B) {
+	reuse := measure("record_reuse_10k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			e := estimator.New()
-			b.StartTimer()
-			if _, err := e.CompileKeyedCtx(ctx, key, m); err != nil {
+			if err := e.Prepare(rec); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	hit := measure("compile_keyed_hit_10k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := warm.CompileKeyedCtx(ctx, key, m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	hashed := measure("compile_hashed_hit_10k", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := warm.CompileCached(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return []result{miss, hit, hashed}, nil
+	return []result{prepare, reuse}, nil
 }
 
 // engineFork measures the event engine under a model-driven load: one
@@ -222,9 +205,9 @@ func engineFork() (result, error) {
 }
 
 // maxCompileHitShare is the ceiling run enforces on
-// compile_keyed_hit_share_of_miss: a keyed compile-cache hit must cost at
-// most this share of a miss (it measures ~1e-5, a map lookup against
-// checking and compiling 10^4 nodes).
+// record_reuse_share_of_prepare: reusing a prepared record must cost at
+// most this share of preparing one (it measures ~1e-6, a sync.Once check
+// against checking and compiling 10^4 nodes).
 const maxCompileHitShare = 0.05
 
 func run(out string, minAnalyticSpeedup float64) error {
@@ -239,20 +222,21 @@ func run(out string, minAnalyticSpeedup float64) error {
 	}
 	e := estimator.New()
 	globals := map[string]float64{"hitCost": 100e-6, "missCost": 10e-3}
-	if _, err := e.CompileCached(m); err != nil {
+	mProg, err := e.Compile(m)
+	if err != nil {
 		return err
 	}
-	hlProg, err := e.CompileCached(hl)
+	hlProg, err := e.Compile(hl)
 	if err != nil {
 		return err
 	}
 
-	mc := func(model *uml.Model, g map[string]float64, workers int, backend estimator.Backend) func(b *testing.B) {
+	mc := func(c *estimator.Compiled, g map[string]float64, workers int, backend estimator.Backend) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := e.MonteCarlo(estimator.Request{
-					Model: model, Globals: g, Parallel: workers, Backend: backend,
+					Compiled: c, Globals: g, Parallel: workers, Backend: backend,
 				}, 64); err != nil {
 					b.Fatal(err)
 				}
@@ -263,9 +247,7 @@ func run(out string, minAnalyticSpeedup float64) error {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.EstimateCompiledFast(hlProg, estimator.Request{
-					Model: hl, Backend: backend,
-				}); err != nil {
+				if _, err := e.EstimateCompiledFast(hlProg, estimator.Request{Backend: backend}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -295,11 +277,12 @@ func run(out string, minAnalyticSpeedup float64) error {
 			"by lowered ns/op; analytic_query_mix runs one mode=analytic " +
 			"closed-form solve per op on the query-mix model, and " +
 			"speedup_analytic_vs_montecarlo_64 divides the sequential " +
-			"64-run MC batch ns/op by it. compile_*_10k run the estimator's " +
-			"compile cache on a 10^4-node modelgen model (seed 1): a miss " +
-			"under a known key (check + compile), a hit under that key, " +
-			"and a hit that hashes the model for its key; " +
-			"compile_keyed_hit_share_of_miss is keyed hit ns/op over miss ns/op.",
+			"64-run MC batch ns/op by it; every batch and solve evaluates a " +
+			"record prepared beforehand. record_*_10k prepare the " +
+			"estimator's model record of a 10^4-node modelgen model " +
+			"(seed 1): a fresh record (check + compile) and one already " +
+			"prepared; record_reuse_share_of_prepare is reuse ns/op over " +
+			"prepare ns/op.",
 	}
 
 	d.Benchmarks = append(d.Benchmarks, measure("event_scheduling_1000_holds", func(b *testing.B) {
@@ -330,32 +313,27 @@ func run(out string, minAnalyticSpeedup float64) error {
 		d.SpeedupLowered = hlInterp.NsPerOp / hlLowered.NsPerOp
 	}
 
-	seq := measure("montecarlo_64_workers_1", mc(m, globals, 1, estimator.BackendLowered))
-	par := measure("montecarlo_64_workers_4", mc(m, globals, 4, estimator.BackendLowered))
-	seqInterp := measure("montecarlo_64_workers_1_interp", mc(m, globals, 1, estimator.BackendInterp))
-	par4Interp := measure("montecarlo_64_workers_4_interp", mc(m, globals, 4, estimator.BackendInterp))
-	ss := conformance.StochasticService(2000)
-	ssGlobals := map[string]float64{"scale": 1}
-	if _, err := e.CompileCached(ss); err != nil {
+	seq := measure("montecarlo_64_workers_1", mc(mProg, globals, 1, estimator.BackendLowered))
+	par := measure("montecarlo_64_workers_4", mc(mProg, globals, 4, estimator.BackendLowered))
+	seqInterp := measure("montecarlo_64_workers_1_interp", mc(mProg, globals, 1, estimator.BackendInterp))
+	par4Interp := measure("montecarlo_64_workers_4_interp", mc(mProg, globals, 4, estimator.BackendInterp))
+	ssProg, err := e.Compile(conformance.StochasticService(2000))
+	if err != nil {
 		return err
 	}
 	seqStochastic := measure("montecarlo_64_stochastic_service_workers_1",
-		mc(ss, ssGlobals, 1, estimator.BackendLowered))
+		mc(ssProg, map[string]float64{"scale": 1}, 1, estimator.BackendLowered))
 	d.Benchmarks = append(d.Benchmarks, seq, par, seqInterp, par4Interp, seqStochastic)
 	if par.NsPerOp > 0 && d.GOMAXPROCS >= 4 {
 		speedup := seq.NsPerOp / par.NsPerOp
 		d.MonteCarloSpeedup4 = &speedup
 	}
 
-	mProg, err := e.CompileCached(m)
-	if err != nil {
-		return err
-	}
 	analytic := measure("analytic_query_mix", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := e.EstimateCompiledFast(mProg, estimator.Request{
-				Model: m, Globals: globals, Mode: estimator.ModeAnalytic,
+				Globals: globals, Mode: estimator.ModeAnalytic,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -366,13 +344,13 @@ func run(out string, minAnalyticSpeedup float64) error {
 		d.SpeedupAnalytic = seq.NsPerOp / analytic.NsPerOp
 	}
 
-	cc, err := compileCache()
+	rc, err := records()
 	if err != nil {
 		return err
 	}
-	d.Benchmarks = append(d.Benchmarks, cc...)
-	if cc[0].NsPerOp > 0 {
-		d.CompileHitShare = cc[1].NsPerOp / cc[0].NsPerOp
+	d.Benchmarks = append(d.Benchmarks, rc...)
+	if rc[0].NsPerOp > 0 {
+		d.RecordReuseShare = rc[1].NsPerOp / rc[0].NsPerOp
 	}
 
 	f, err := os.Create(out)
@@ -392,13 +370,13 @@ func run(out string, minAnalyticSpeedup float64) error {
 	if d.MonteCarloSpeedup4 != nil {
 		mcSpeedup = fmt.Sprintf("%.2fx", *d.MonteCarloSpeedup4)
 	}
-	fmt.Printf("wrote %s (gomaxprocs=%d, num_cpu=%d, 64-run Monte Carlo speedup at 4 workers: %s, lowered vs interp: %.2fx, analytic vs MC-64: %.0fx, keyed compile hit/miss: %.2g)\n",
-		out, d.GOMAXPROCS, d.NumCPU, mcSpeedup, d.SpeedupLowered, d.SpeedupAnalytic, d.CompileHitShare)
+	fmt.Printf("wrote %s (gomaxprocs=%d, num_cpu=%d, 64-run Monte Carlo speedup at 4 workers: %s, lowered vs interp: %.2fx, analytic vs MC-64: %.0fx, record reuse/prepare: %.2g)\n",
+		out, d.GOMAXPROCS, d.NumCPU, mcSpeedup, d.SpeedupLowered, d.SpeedupAnalytic, d.RecordReuseShare)
 	if minAnalyticSpeedup > 0 && d.SpeedupAnalytic < minAnalyticSpeedup {
 		return fmt.Errorf("analytic speedup %.1fx is below the %.0fx floor", d.SpeedupAnalytic, minAnalyticSpeedup)
 	}
-	if d.CompileHitShare > maxCompileHitShare {
-		return fmt.Errorf("keyed compile-cache hit costs %.3g of a miss, above the %.3g ceiling", d.CompileHitShare, maxCompileHitShare)
+	if d.RecordReuseShare > maxCompileHitShare {
+		return fmt.Errorf("reusing a prepared record costs %.3g of preparing one, above the %.3g ceiling", d.RecordReuseShare, maxCompileHitShare)
 	}
 	return nil
 }

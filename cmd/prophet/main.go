@@ -255,7 +255,7 @@ func run(args []string) (err error) {
 				return err
 			}
 		}
-		cmp, err := estimator.New().CompareModels(m, "", other, "", estimator.Request{
+		cmp, err := estimator.New().CompareModels(estimator.NewRecord(m), estimator.NewRecord(other), estimator.Request{
 			Params: params, Globals: globals, Net: &net, Policy: req.Policy, Parallel: *parallel,
 			Context: req.Context,
 		}, counts)

@@ -114,7 +114,7 @@ func run(args []string) error {
 		timeout      = fs.Duration("timeout", 30*time.Second, "default per-request evaluation deadline")
 		maxTimeout   = fs.Duration("max-timeout", 5*time.Minute, "upper clamp on client-requested deadlines")
 		maxBody      = fs.Int64("max-body", 8<<20, "max request body bytes")
-		maxModels    = fs.Int("max-models", 1024, "max models kept in the content-addressed store")
+		maxModels    = fs.Int("max-models", 1024, "max models kept in the content-addressed store, each with its prepared program")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "max time to wait for in-flight requests on shutdown")
 		resultCache  = fs.Int("result-cache", 1024, "max entries in the evaluation result cache (0 = disabled)")
 		workers      = fs.String("workers", "", "comma-separated worker base URLs to shard sweeps and Monte Carlo runs across (empty = evaluate locally)")

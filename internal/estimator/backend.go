@@ -6,6 +6,7 @@ import (
 
 	"prophet/internal/interp"
 	"prophet/internal/lower"
+	"prophet/internal/uml"
 )
 
 // Backend selects the execution engine a simulation runs on.
@@ -51,16 +52,32 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendAuto, fmt.Errorf("estimator: unknown backend %q (want auto, interp or lowered)", s)
 }
 
-// Compiled is a checked, compiled model ready for repeated evaluation:
-// the interp program plus its lowered program, built on first lowered
-// run. A compile-cache entry therefore lowers at most once and drops its
-// lowering when evicted; an uncached one (Compile, Estimate) keeps it as
-// long as its holder does.
+// Compiled is the one record of a model: the model itself, its checked
+// interp program (check and compile run together, at most once), and its
+// lowered program (built on the first lowered run, at most once). The
+// preparation keeps its error too — for a model that fails checking, a
+// CheckError carrying the report — so such a model is checked once
+// however often it is evaluated. A record is safe for
+// concurrent use; whoever keeps it (prophetd's model store, or a caller
+// passing it in Request.Compiled) keeps every derived artifact with it.
 type Compiled struct {
-	prog    *interp.Program
+	model *uml.Model
+
+	prepOnce sync.Once
+	prog     *interp.Program
+	err      error
+
 	lowOnce sync.Once
 	low     *lower.Program
 }
+
+// NewRecord returns an unprepared record of m. The estimator that first
+// evaluates it (or Prepare) checks and compiles m; m must not change
+// after that.
+func NewRecord(m *uml.Model) *Compiled { return &Compiled{model: m} }
+
+// Model returns the model the record was made for.
+func (c *Compiled) Model() *uml.Model { return c.model }
 
 // lowerProgram lowers a compiled program; tests substitute it to watch
 // every lowering.

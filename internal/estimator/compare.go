@@ -3,8 +3,6 @@ package estimator
 import (
 	"fmt"
 	"math"
-
-	"prophet/internal/uml"
 )
 
 // ComparePoint is one sample of a two-model comparison sweep.
@@ -30,27 +28,26 @@ type Comparison struct {
 // across process counts and reports who wins where — the "design
 // decisions can be influenced without time-consuming modifications of
 // large portions of an implemented program" use case of the paper's
-// introduction. Both models are evaluated under req's parameters and
-// globals; req.Model and req.ModelKey are ignored. keyA and keyB are the
-// models' compile-cache keys when the caller already holds their content
-// addresses (see Request.ModelKey); an empty key hashes its model.
-func (e *Estimator) CompareModels(a *uml.Model, keyA string, b *uml.Model, keyB string, req Request, counts []int) (*Comparison, error) {
-	if a == nil || b == nil {
+// introduction. a and b are the two models' records (see NewRecord);
+// both are evaluated under req's parameters and globals, and req.Model
+// and req.Compiled are ignored.
+func (e *Estimator) CompareModels(a, b *Compiled, req Request, counts []int) (*Comparison, error) {
+	if a == nil || b == nil || a.model == nil || b.model == nil {
 		return nil, fmt.Errorf("estimator: CompareModels needs two models")
 	}
 	reqA := req
-	reqA.Model, reqA.ModelKey = a, keyA
+	reqA.Model, reqA.Compiled = a.model, a
 	ptsA, err := e.SweepProcesses(reqA, counts)
 	if err != nil {
-		return nil, fmt.Errorf("estimator: model %q: %w", a.Name(), err)
+		return nil, fmt.Errorf("estimator: model %q: %w", a.model.Name(), err)
 	}
 	reqB := req
-	reqB.Model, reqB.ModelKey = b, keyB
+	reqB.Model, reqB.Compiled = b.model, b
 	ptsB, err := e.SweepProcesses(reqB, counts)
 	if err != nil {
-		return nil, fmt.Errorf("estimator: model %q: %w", b.Name(), err)
+		return nil, fmt.Errorf("estimator: model %q: %w", b.model.Name(), err)
 	}
-	cmp := &Comparison{NameA: a.Name(), NameB: b.Name()}
+	cmp := &Comparison{NameA: a.model.Name(), NameB: b.model.Name()}
 	prevWinner := ""
 	for i := range counts {
 		pt := ComparePoint{

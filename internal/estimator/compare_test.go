@@ -46,7 +46,7 @@ func TestCompareModelsCrossover(t *testing.T) {
 		Params:  machine.SystemParams{ProcessorsPerNode: 64, Threads: 1},
 		Globals: map[string]float64{"W": 100},
 	}
-	cmp, err := New().CompareModels(a, "", bm, "", req, []int{1, 2, 4, 8, 16, 32})
+	cmp, err := New().CompareModels(NewRecord(a), NewRecord(bm), req, []int{1, 2, 4, 8, 16, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +73,10 @@ func TestCompareModelsCrossover(t *testing.T) {
 
 func TestCompareModelsValidation(t *testing.T) {
 	m := buildAlternative(t, "x", 0.5, 0)
-	if _, err := New().CompareModels(nil, "", m, "", Request{}, []int{1}); err == nil {
+	if _, err := New().CompareModels(nil, NewRecord(m), Request{}, []int{1}); err == nil {
 		t.Error("nil model should fail")
 	}
-	if _, err := New().CompareModels(m, "", nil, "", Request{}, []int{1}); err == nil {
+	if _, err := New().CompareModels(NewRecord(m), nil, Request{}, []int{1}); err == nil {
 		t.Error("nil model should fail")
 	}
 }

@@ -25,18 +25,17 @@ import (
 	"prophet/internal/sim"
 	"prophet/internal/trace"
 	"prophet/internal/uml"
-	"prophet/internal/xmi"
 )
 
 // Request describes one evaluation.
 type Request struct {
 	// Model is the program's performance model.
 	Model *uml.Model
-	// ModelKey, when non-empty, is Model's content address (xmi.Hash) as
-	// the caller already holds it, e.g. a model-store id. The batch entry
-	// points use it as the compile-cache key instead of hashing Model; it
-	// must name Model's current content, or another model's program runs.
-	ModelKey string
+	// Compiled, when non-nil, is Model's record (see NewRecord): every
+	// entry point evaluates its program, preparing it first if no caller
+	// has, instead of checking and compiling Model again. Without one, a
+	// call compiles Model once for all of its runs.
+	Compiled *Compiled
 	// Params are the system parameters (SP). The zero value means one
 	// process on one single-processor node.
 	Params machine.SystemParams
@@ -157,29 +156,15 @@ func (r Request) pool(label string) runner.Options {
 	}
 }
 
-// maxCachedPrograms bounds the compile cache: entries beyond it are
-// evicted oldest-first, each with its lowered program. Content-hash keys
-// mean a model mutated in place leaves its old entry unreachable, so the
-// bound also caps how much garbage a mutate-recompile loop can
-// accumulate.
-const maxCachedPrograms = 256
-
 // Estimator evaluates performance models.
 type Estimator struct {
 	registry *profile.Registry
 	checker  *checker.Checker
 
-	// progMu guards progs/progOrder, the per-estimator compile cache,
-	// keyed by the model's canonical-XMI content hash (xmi.Hash): batch
-	// entry points and the serving layer compile and lower each distinct
-	// model content once, and a model mutated in place hashes to a new
-	// key, so it is recompiled instead of served stale.
-	progMu    sync.Mutex
-	progs     map[string]*Compiled
-	progOrder []string // insertion order, for oldest-first eviction
-
-	// cacheHits/cacheMisses count CompileCached outcomes; metrics, when
-	// set, mirrors them into estimator_cache_{hits,misses}_total.
+	// mu guards the record counters: cacheHits/cacheMisses count prepare
+	// outcomes; metrics, when set, mirrors them into
+	// estimator_cache_{hits,misses}_total.
+	mu          sync.Mutex
 	cacheHits   int64
 	cacheMisses int64
 	metrics     *obs.Registry
@@ -216,8 +201,13 @@ func stage(req Request, rec *obs.SpanRecorder, name string) (context.Context, *o
 	return ctx, ts, func() { d1(); d2(); ts.End() }
 }
 
-// Estimate runs one evaluation: check, compile, simulate, summarize.
+// Estimate runs one evaluation: check, compile, simulate, summarize. A
+// request carrying a record evaluates it as EstimateCompiled does, and
+// SkipCheck does not apply to it.
 func (e *Estimator) Estimate(req Request) (*Estimate, error) {
+	if req.Compiled != nil {
+		return e.EstimateCompiled(req.Compiled, req)
+	}
 	if req.Model == nil {
 		return nil, fmt.Errorf("estimator: nil model")
 	}
@@ -229,7 +219,7 @@ func (e *Estimator) Estimate(req Request) (*Estimate, error) {
 	rec := obs.NewSpanRecorder()
 	if !req.SkipCheck {
 		_, _, done := stage(req, rec, "check")
-		rep := e.checker.Check(req.Model)
+		rep := checkModel(e.checker, req.Model)
 		done()
 		if rep.HasErrors() {
 			return nil, &CheckError{Model: req.Model.Name(), Report: rep}
@@ -242,57 +232,109 @@ func (e *Estimator) Estimate(req Request) (*Estimate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("estimator: %w", err)
 	}
-	return e.runMode(&Compiled{prog: pr}, req, false, rec)
+	return e.runMode(&Compiled{model: req.Model, prog: pr}, req, false, rec)
 }
 
-// Compile prepares a model once for repeated evaluation (parameter
-// sweeps). The result is not cached: it is lowered on its first lowered
-// run and keeps that lowering for as long as the caller keeps it.
+// Compile returns a prepared record of m, for repeated evaluation
+// (parameter sweeps); it is lowered on its first lowered run and keeps
+// that lowering for as long as the caller keeps it.
 func (e *Estimator) Compile(m *uml.Model) (*Compiled, error) {
-	return e.compileCtx(context.Background(), m, "")
+	c := NewRecord(m)
+	if err := e.Prepare(c); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// compileCtx checks then compiles the model, recording "check" and
-// "compile" spans into the trace riding ctx (no-ops without one).
-// cacheAttr, when non-empty, annotates the compile span's cache outcome.
-func (e *Estimator) compileCtx(ctx context.Context, m *uml.Model, cacheAttr string) (*Compiled, error) {
+// Prepare checks and compiles c's model unless c is already prepared,
+// and returns the preparation's error, which c keeps: however many
+// callers ask at once, a record is prepared once.
+func (e *Estimator) Prepare(c *Compiled) error {
+	return e.prepare(context.Background(), c)
+}
+
+// prepare is Prepare under ctx. When ctx carries a trace span, the call
+// that prepares records the real "check" and "compile" spans (the latter
+// annotated cache=miss) and any other call records a "compile" span
+// annotated cache=hit, so a request's span tree shows whether it paid.
+// Each call counts one cache event: a miss when it prepared c, a hit
+// when c was prepared already or by a concurrent caller it waited for.
+func (e *Estimator) prepare(ctx context.Context, c *Compiled) error {
+	built := false
+	c.prepOnce.Do(func() {
+		built = true
+		c.prog, c.err = e.compile(ctx, c.model)
+	})
+	e.cacheEvent(!built)
+	if !built {
+		_, sp := obs.StartSpan(ctx, "compile")
+		sp.Annotate("cache", "hit")
+		sp.End()
+	}
+	return c.err
+}
+
+// record returns the request's record, prepared: req.Compiled, or a
+// record of req.Model that lives for this call only.
+func (e *Estimator) record(req Request) (*Compiled, error) {
+	c := req.Compiled
+	if c == nil {
+		c = NewRecord(req.Model)
+	}
+	if err := e.prepare(req.ctx(), c); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// checkModel runs the Model Checker; tests substitute it to hold or
+// count checks.
+var checkModel = (*checker.Checker).Check
+
+// compile checks then compiles m, recording "check" and "compile" spans
+// into the trace riding ctx (no-ops without one).
+func (e *Estimator) compile(ctx context.Context, m *uml.Model) (*interp.Program, error) {
+	if m == nil {
+		return nil, fmt.Errorf("estimator: nil model")
+	}
 	_, sp := obs.StartSpan(ctx, "check")
-	rep := e.checker.Check(m)
+	rep := checkModel(e.checker, m)
 	sp.End()
 	if rep.HasErrors() {
 		return nil, &CheckError{Model: m.Name(), Report: rep}
 	}
 	_, sp = obs.StartSpan(ctx, "compile")
 	pr, err := interp.Compile(m, e.registry)
-	if cacheAttr != "" {
-		sp.Annotate("cache", cacheAttr)
-	}
+	sp.Annotate("cache", "miss")
 	sp.End()
 	if err != nil {
 		return nil, fmt.Errorf("estimator: %w", err)
 	}
-	return &Compiled{prog: pr}, nil
+	return pr, nil
 }
 
 // SetMetrics installs a registry that receives the estimator's cache
 // counters (estimator_cache_hits_total, estimator_cache_misses_total).
 // Call it once, before the estimator is used concurrently.
 func (e *Estimator) SetMetrics(reg *obs.Registry) {
-	e.progMu.Lock()
+	e.mu.Lock()
 	e.metrics = reg
-	e.progMu.Unlock()
+	e.mu.Unlock()
 }
 
-// CacheStats returns how many CompileCached calls were served from the
-// compiled-program cache and how many had to compile.
+// CacheStats returns how many record preparations found the record
+// already prepared (hits) and how many had to check and compile it
+// (misses).
 func (e *Estimator) CacheStats() (hits, misses int64) {
-	e.progMu.Lock()
-	defer e.progMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.cacheHits, e.cacheMisses
 }
 
-// cacheEvent counts one cache outcome; call with progMu held.
+// cacheEvent counts one prepare outcome.
 func (e *Estimator) cacheEvent(hit bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	name := "estimator_cache_misses_total"
 	if hit {
 		e.cacheHits++
@@ -305,119 +347,24 @@ func (e *Estimator) cacheEvent(hit bool) {
 	}
 }
 
-// CompileCached returns the cached compiled program for m, checking and
-// compiling it on first use. The cache is keyed by the model's
-// canonical-XMI content hash (xmi.Hash) — the same key the serving
-// layer's model store uses — so every batch entry point (MonteCarlo,
-// Sensitivity, sweeps, CompareModels) and every server request compiles
-// each distinct model content exactly once. Because the key is content,
-// not identity, a model mutated in place hashes to a new key and is
-// recompiled — the cache can never serve a stale program. The cache
-// holds at most maxCachedPrograms entries, evicting oldest-first.
-func (e *Estimator) CompileCached(m *uml.Model) (*Compiled, error) {
-	return e.CompileKeyedCtx(context.Background(), "", m)
-}
-
-// CompileKeyedCtx is CompileCached for a caller that may already hold
-// m's content address: a non-empty key (xmi.Hash of m) is the cache key
-// and m is not hashed again. Hashing re-encodes the whole model — several
-// times the cost of the check and compile it would save — so callers that
-// keep models by id, like the serving layer, pass it. When ctx carries a
-// trace span, a hit records a "compile" span annotated cache=hit, and a
-// miss records the real "check" and "compile" spans (the latter annotated
-// cache=miss), so a request's span tree shows whether it paid.
-func (e *Estimator) CompileKeyedCtx(ctx context.Context, key string, m *uml.Model) (*Compiled, error) {
-	if m == nil {
-		return nil, fmt.Errorf("estimator: nil model")
-	}
-	if key == "" {
-		var err error
-		if key, err = xmi.Hash(m); err != nil {
-			// A model that cannot be canonicalized cannot be
-			// content-addressed; compile it uncached rather than risking a
-			// stale identity hit.
-			return e.compileCtx(ctx, m, "uncacheable")
-		}
-	}
-	e.progMu.Lock()
-	c, ok := e.progs[key]
-	e.cacheEvent(ok)
-	e.progMu.Unlock()
-	if ok {
-		_, sp := obs.StartSpan(ctx, "compile")
-		sp.Annotate("cache", "hit")
-		sp.End()
-		return c, nil
-	}
-	c, err := e.compileCtx(ctx, m, "miss")
-	if err != nil {
+// EstimateCompiled evaluates a record, preparing it first if no caller
+// has.
+func (e *Estimator) EstimateCompiled(c *Compiled, req Request) (*Estimate, error) {
+	if err := e.prepare(req.ctx(), c); err != nil {
 		return nil, err
 	}
-	e.progMu.Lock()
-	if e.progs == nil {
-		e.progs = map[string]*Compiled{}
-	}
-	// A concurrent caller may have compiled the same content; keep the
-	// first entry so every run of a batch shares one program and one
-	// lowering.
-	if prev, ok := e.progs[key]; ok {
-		c = prev
-	} else {
-		e.progs[key] = c
-		e.progOrder = append(e.progOrder, key)
-		for len(e.progOrder) > maxCachedPrograms {
-			delete(e.progs, e.progOrder[0])
-			e.progOrder = e.progOrder[1:]
-		}
-	}
-	e.progMu.Unlock()
-	return c, nil
-}
-
-// InvalidateCache drops the compiled program cached for m's current
-// content (all cached programs when m is nil). With content-hash keys a
-// mutated model never hits its old entry, so invalidation is no longer
-// needed for correctness — it only releases memory, e.g. for a model
-// that will not be evaluated again.
-func (e *Estimator) InvalidateCache(m *uml.Model) {
-	if m == nil {
-		e.progMu.Lock()
-		e.progs = nil
-		e.progOrder = nil
-		e.progMu.Unlock()
-		return
-	}
-	// Hash before locking: the hash is O(model) and would otherwise
-	// stall every concurrent compile-cache lookup.
-	key, err := xmi.Hash(m)
-	if err != nil {
-		return
-	}
-	e.progMu.Lock()
-	defer e.progMu.Unlock()
-	if _, ok := e.progs[key]; !ok {
-		return
-	}
-	delete(e.progs, key)
-	for i, k := range e.progOrder {
-		if k == key {
-			e.progOrder = append(e.progOrder[:i], e.progOrder[i+1:]...)
-			break
-		}
-	}
-}
-
-// EstimateCompiled evaluates a pre-compiled program.
-func (e *Estimator) EstimateCompiled(c *Compiled, req Request) (*Estimate, error) {
 	return e.runMode(c, req, false, obs.NewSpanRecorder())
 }
 
-// EstimateCompiledFast evaluates a pre-compiled program in fast mode:
+// EstimateCompiledFast evaluates a record in fast mode:
 // trace collection and summarization are skipped (Estimate.Trace and
 // Estimate.Summary are nil), the mode the batch loops use internally.
 // This is the hot path of the serving layer, which returns the makespan
 // and utilization but never ships a trace.
 func (e *Estimator) EstimateCompiledFast(c *Compiled, req Request) (*Estimate, error) {
+	if err := e.prepare(req.ctx(), c); err != nil {
+		return nil, err
+	}
 	return e.runMode(c, req, true, obs.NewSpanRecorder())
 }
 
@@ -603,7 +550,7 @@ type SweepPoint struct {
 // with the processes (one node per ProcessorsPerNode processes).
 func (e *Estimator) SweepProcesses(req Request, counts []int) ([]SweepPoint, error) {
 	done := req.Spans.Start("compile")
-	c, err := e.CompileKeyedCtx(req.ctx(), req.ModelKey, req.Model)
+	c, err := e.record(req)
 	done()
 	if err != nil {
 		return nil, err
@@ -674,7 +621,7 @@ type GlobalPoint struct {
 // SweepGlobal evaluates the model across values of one global variable.
 func (e *Estimator) SweepGlobal(req Request, name string, values []float64) ([]GlobalPoint, error) {
 	done := req.Spans.Start("compile")
-	c, err := e.CompileKeyedCtx(req.ctx(), req.ModelKey, req.Model)
+	c, err := e.record(req)
 	done()
 	if err != nil {
 		return nil, err

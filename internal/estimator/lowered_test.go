@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"prophet/internal/lower"
 	"prophet/internal/samples"
 	"prophet/internal/uml"
-	"prophet/internal/xmi"
 )
 
 // lowerWatch counts every lowering and how many of the lowered programs
@@ -61,53 +59,38 @@ func tinyModel(t *testing.T, i int) *uml.Model {
 
 var kernel6Globals = map[string]float64{"N": 10, "M": 1, "c": 1}
 
-// The lowered program lives with its compile-cache entry: same-content
-// hits share one interp program and one lowered program, lowered once
-// even under concurrent callers; evicting the entry drops its lowering;
-// uncached estimates keep no lowering at all.
+// The lowered program lives with its record: every call that passes one
+// record, concurrent ones included, shares one interp program and one
+// lowered program, lowered once; a record its holder drops (as the model
+// store drops an evicted one) frees its lowering; a batch call without a
+// record keeps no lowering once it returns; and uncached estimates keep
+// no lowering at all.
 func TestLoweredProgramLivesWithCompileEntry(t *testing.T) {
 	t.Run("shared", func(t *testing.T) {
 		w := watchLowering(t)
 		e := New()
-		c1, err := e.CompileCached(samples.Kernel6())
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A distinct *uml.Model with identical content, by hash and by key.
-		m := samples.Kernel6()
-		key, err := xmi.Hash(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2, err := e.CompileKeyedCtx(context.Background(), key, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c1 != c2 || c1.prog != c2.prog {
-			t.Fatal("same-content hit returned a different compiled program")
-		}
+		c := NewRecord(samples.Kernel6())
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c, err := e.CompileCached(samples.Kernel6())
-				if err == nil {
-					_, err = e.EstimateCompiledFast(c, Request{Globals: kernel6Globals})
-				}
-				if err != nil {
+				if _, err := e.EstimateCompiledFast(c, Request{Globals: kernel6Globals}); err != nil {
 					t.Error(err)
 				}
 			}()
 		}
 		wg.Wait()
+		prog := c.prog
+		if _, err := e.MonteCarlo(Request{Compiled: c, Globals: kernel6Globals}, 4); err != nil {
+			t.Fatal(err)
+		}
 		if got := w.built.Load(); got != 1 {
 			t.Errorf("lowered %d times, want once", got)
 		}
-		lp1, built1 := c1.lowered()
-		lp2, built2 := c2.lowered()
-		if built1 || built2 || lp1 == nil || lp1 != lp2 {
-			t.Error("cache hits do not share one lowered program")
+		lp, built := c.lowered()
+		if built || lp == nil || c.prog != prog {
+			t.Error("calls on one record do not share one program and one lowering")
 		}
 	})
 
@@ -115,22 +98,19 @@ func TestLoweredProgramLivesWithCompileEntry(t *testing.T) {
 		w := watchLowering(t)
 		e := New()
 		func() {
-			c, err := e.CompileCached(samples.Kernel6())
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := NewRecord(samples.Kernel6())
 			if _, err := e.EstimateCompiledFast(c, Request{Globals: kernel6Globals}); err != nil {
 				t.Fatal(err)
 			}
 		}()
-		// maxCachedPrograms newer entries push the first one out.
-		for i := 0; i < maxCachedPrograms; i++ {
-			if _, err := e.CompileCached(tinyModel(t, i)); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := e.MonteCarlo(Request{Model: samples.Kernel6(), Globals: kernel6Globals}, 4); err != nil {
+			t.Fatal(err)
 		}
-		if got := w.waitFreed(1); got != 1 {
-			t.Errorf("evicted entry's lowered program still reachable (freed %d of 1)", got)
+		if got := w.built.Load(); got != 2 {
+			t.Fatalf("lowered %d times, want 2", got)
+		}
+		if got := w.waitFreed(2); got != 2 {
+			t.Errorf("dropped records' lowered programs still reachable (freed %d of 2)", got)
 		}
 	})
 

@@ -3,6 +3,7 @@ package estimator
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -149,28 +150,46 @@ func TestMonteCarloCancelledContext(t *testing.T) {
 	}
 }
 
-// TestCompileCachedReusesProgram: the batch entry points must compile a
-// model once per estimator, not once per call.
+// TestCompileCachedReusesProgram: every entry point that passes one
+// record checks and compiles its model once between them, not once per
+// call; without a record, each call checks once for all of its runs.
 func TestCompileCachedReusesProgram(t *testing.T) {
+	var checks atomic.Int64
+	defer SetCheckHook(func() { checks.Add(1) })()
 	e := New()
-	m := samples.Kernel6()
-	p1, err := e.CompileCached(m)
-	if err != nil {
+	c := NewRecord(samples.Kernel6())
+	req := Request{Compiled: c, Globals: map[string]float64{"N": 10, "M": 2, "c": 1e-6}}
+	if _, err := e.MonteCarlo(req, 2); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := e.CompileCached(m)
-	if err != nil {
+	if _, err := e.SweepProcesses(req, []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if p1 != p2 {
-		t.Error("CompileCached recompiled the same model")
-	}
-	e.InvalidateCache(m)
-	p3, err := e.CompileCached(m)
-	if err != nil {
+	if _, err := e.SweepGlobal(req, "N", []float64{10, 20}); err != nil {
 		t.Fatal(err)
 	}
-	if p3 == p1 {
-		t.Error("InvalidateCache did not drop the cached program")
+	if _, err := e.Sensitivity(req, []string{"N"}, 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CompareModels(c, c, req, []int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Estimate(req); err != nil {
+		t.Fatal(err)
+	}
+	if got := checks.Load(); got != 1 {
+		t.Errorf("one record checked %d times, want once", got)
+	}
+	if hits, misses := e.CacheStats(); hits != 6 || misses != 1 {
+		t.Errorf("hits=%d misses=%d, want 6 and 1", hits, misses)
+	}
+	req.Compiled, req.Model = nil, samples.Kernel6()
+	for i := 0; i < 2; i++ {
+		if _, err := e.MonteCarlo(req, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := checks.Load(); got != 3 {
+		t.Errorf("two record-less batch calls: %d checks in all, want 3", got)
 	}
 }

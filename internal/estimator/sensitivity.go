@@ -48,7 +48,7 @@ func (e *Estimator) MonteCarloMakespans(req Request, runs int) ([]float64, error
 	if runs < 1 {
 		return nil, fmt.Errorf("estimator: monte carlo needs runs >= 1, got %d", runs)
 	}
-	c, err := e.CompileKeyedCtx(req.ctx(), req.ModelKey, req.Model)
+	c, err := e.record(req)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func (e *Estimator) Sensitivity(req Request, names []string, delta float64) (*Se
 	if delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("estimator: sensitivity delta must be in (0,1), got %g", delta)
 	}
-	c, err := e.CompileKeyedCtx(req.ctx(), req.ModelKey, req.Model)
+	c, err := e.record(req)
 	if err != nil {
 		return nil, err
 	}

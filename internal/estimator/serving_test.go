@@ -92,36 +92,18 @@ func TestEstimateShortDeadlineReturnsPromptly(t *testing.T) {
 	}
 }
 
-// Mutating a model after it was compiled must miss the cache: the key is
-// the canonical XMI content hash, not the pointer.
+// A library batch call without a record compiles the model as it is
+// now, so mutating the model between two calls changes the next result.
 func TestCompileCachedDetectsMutation(t *testing.T) {
 	e := New()
 	m := samples.Sample()
 	req := Request{Model: m, Params: machine.SystemParams{Nodes: 1, ProcessorsPerNode: 2, Processes: 4, Threads: 1}}
-	pr, err := e.CompileCached(m)
+	base, err := e.MonteCarlo(req, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := e.EstimateCompiled(pr, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits0, misses0 := e.CacheStats()
-	if misses0 != 1 {
-		t.Fatalf("first compile should be one miss, got hits=%d misses=%d", hits0, misses0)
-	}
 
-	// Same content, same pointer: a hit.
-	if _, err := e.CompileCached(m); err != nil {
-		t.Fatal(err)
-	}
-	hits1, misses1 := e.CacheStats()
-	if hits1 != hits0+1 || misses1 != misses0 {
-		t.Fatalf("unchanged model recompiled: hits %d→%d misses %d→%d", hits0, hits1, misses0, misses1)
-	}
-
-	// Mutate an action cost in place. The stale pointer-keyed cache would
-	// happily serve the old program here.
+	// Mutate an action cost in place.
 	var mutated bool
 	for _, d := range m.Diagrams() {
 		for _, n := range d.Nodes() {
@@ -139,58 +121,40 @@ func TestCompileCachedDetectsMutation(t *testing.T) {
 		t.Fatal("sample model has no action with a cost function to mutate")
 	}
 
-	pr2, err := e.CompileCached(m)
+	changed, err := e.MonteCarlo(req, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits2, misses2 := e.CacheStats()
-	if misses2 != misses1+1 {
-		t.Fatalf("mutation did not trigger recompilation: hits %d→%d misses %d→%d",
-			hits1, hits2, misses1, misses2)
+	if changed.Mean == base.Mean {
+		t.Errorf("makespan unchanged (%g) after cost mutation: stale program served", base.Mean)
 	}
-	if pr2 == pr {
-		t.Fatal("mutated model served the stale compiled program")
-	}
-	changed, err := e.EstimateCompiled(pr2, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed.Makespan == base.Makespan {
-		t.Errorf("makespan unchanged (%g) after cost mutation: stale program served", base.Makespan)
+	if hits, misses := e.CacheStats(); hits != 0 || misses != 2 {
+		t.Errorf("two record-less batch calls: hits=%d misses=%d, want 0 and 2", hits, misses)
 	}
 }
 
+// Batch calls that pass one record share its program. The record, not
+// the content, is the program's identity: a second record of the same
+// content prepares its own.
 func TestCompileCachedSameContentSharesProgram(t *testing.T) {
 	e := New()
-	p1, err := e.CompileCached(samples.Sample())
-	if err != nil {
+	c := NewRecord(samples.Sample())
+	req := Request{Compiled: c, Params: machine.SystemParams{Nodes: 1, ProcessorsPerNode: 2, Processes: 4, Threads: 1}}
+	if _, err := e.MonteCarlo(req, 2); err != nil {
 		t.Fatal(err)
 	}
-	// A different *uml.Model pointer with identical content hits the
-	// same cache entry.
-	p2, err := e.CompileCached(samples.Sample())
-	if err != nil {
+	prog := c.prog
+	if _, err := e.SweepProcesses(req, []int{1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if p1 != p2 {
-		t.Error("identical content compiled twice: cache keyed by pointer, not content")
+	if prog == nil || c.prog != prog {
+		t.Error("two batch calls on one record compiled it twice")
 	}
-}
-
-func TestInvalidateCacheByContent(t *testing.T) {
-	e := New()
-	m := samples.Sample()
-	p1, err := e.CompileCached(m)
-	if err != nil {
+	d := NewRecord(samples.Sample())
+	if err := e.Prepare(d); err != nil {
 		t.Fatal(err)
 	}
-	e.InvalidateCache(m)
-	p2, err := e.CompileCached(m)
-	if err != nil {
-		t.Fatal(err)
+	if d.prog == prog {
+		t.Error("a second record shares the first record's program")
 	}
-	if p1 == p2 {
-		t.Error("InvalidateCache left the entry in place")
-	}
-	e.InvalidateCache(nil) // clears everything; must not panic
 }

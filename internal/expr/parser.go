@@ -13,6 +13,8 @@ import "fmt"
 //	mul    = unary { ('*'|'/'|'%') unary }
 //	unary  = ('-'|'!') unary | primary
 //	primary= number | ident | ident '(' [cond {',' cond}] ')' | '(' cond ')'
+//
+// Input that nests deeper than MaxDepth is refused.
 func Parse(src string) (Node, error) {
 	p := &parser{lex: lexer{src: src}}
 	if err := p.advance(); err != nil {
@@ -38,9 +40,43 @@ func MustParse(src string) Node {
 	return n
 }
 
+// MaxDepth bounds how deeply an expression nests. Each parenthesis, unary
+// operator, conditional, call and binary operator is one level around
+// its operands, so a chain of n binary operators is n levels deep. The
+// bound keeps the parser and every recursive pass over the tree (fold,
+// resolve, render) far inside the goroutine stack, whatever the input.
+const MaxDepth = 1000
+
 type parser struct {
 	lex lexer
 	tok token
+	// open counts the nesting parse calls in progress; depth is the
+	// nesting depth of what the last parse call returned.
+	open, depth int
+}
+
+// enter opens one nesting parse call; the caller defers p.leave.
+func (p *parser) enter() error {
+	p.open++
+	if p.open > MaxDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.open-- }
+
+// wrap records a node one level above operands at most d deep.
+func (p *parser) wrap(d int) error {
+	p.depth = d + 1
+	if p.depth > MaxDepth {
+		return p.tooDeep()
+	}
+	return nil
+}
+
+func (p *parser) tooDeep() error {
+	return p.errf("expression nests deeper than %d levels", MaxDepth)
 }
 
 func (p *parser) advance() error {
@@ -64,6 +100,10 @@ func (p *parser) expect(k tokenKind) error {
 }
 
 func (p *parser) parseCond() (Node, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	c, err := p.parseOr()
 	if err != nil {
 		return nil, err
@@ -71,6 +111,7 @@ func (p *parser) parseCond() (Node, error) {
 	if p.tok.kind != tokQuestion {
 		return c, nil
 	}
+	d := p.depth
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -78,6 +119,7 @@ func (p *parser) parseCond() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	d = max(d, p.depth)
 	if err := p.expect(tokColon); err != nil {
 		return nil, err
 	}
@@ -85,7 +127,7 @@ func (p *parser) parseCond() (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cond{C: c, A: a, B: b}, nil
+	return &Cond{C: c, A: a, B: b}, p.wrap(max(d, p.depth))
 }
 
 func (p *parser) parseOr() (Node, error) {
@@ -124,6 +166,7 @@ func (p *parser) parseBinary(first func() (Node, error), ops map[tokenKind]strin
 		if !ok {
 			return l, nil
 		}
+		d := p.depth
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
@@ -132,43 +175,48 @@ func (p *parser) parseBinary(first func() (Node, error), ops map[tokenKind]strin
 			return nil, err
 		}
 		l = &Binary{Op: op, L: l, R: r}
+		if err := p.wrap(max(d, p.depth)); err != nil {
+			return nil, err
+		}
 	}
 }
 
 func (p *parser) parseUnary() (Node, error) {
+	var op string
 	switch p.tok.kind {
 	case tokMinus:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "-", X: x}, nil
+		op = "-"
 	case tokNot:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "!", X: x}, nil
+		op = "!"
+	default:
+		return p.parsePrimary()
 	}
-	return p.parsePrimary()
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	if err := p.advance(); err != nil {
+		return nil, err
+	}
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	return &Unary{Op: op, X: x}, p.wrap(p.depth)
 }
 
 func (p *parser) parsePrimary() (Node, error) {
 	switch p.tok.kind {
 	case tokNumber:
 		n := &Num{Value: p.tok.num}
+		p.depth = 1
 		return n, p.advance()
 	case tokIdent:
 		name := p.tok.text
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
+		p.depth = 1
 		if p.tok.kind != tokLParen {
 			return &Var{Name: name}, nil
 		}
@@ -176,12 +224,14 @@ func (p *parser) parsePrimary() (Node, error) {
 			return nil, err
 		}
 		var args []Node
+		d := 0
 		if p.tok.kind != tokRParen {
 			for {
 				a, err := p.parseCond()
 				if err != nil {
 					return nil, err
 				}
+				d = max(d, p.depth)
 				args = append(args, a)
 				if p.tok.kind != tokComma {
 					break
@@ -194,7 +244,7 @@ func (p *parser) parsePrimary() (Node, error) {
 		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return &Call{Name: name, Args: args}, nil
+		return &Call{Name: name, Args: args}, p.wrap(d)
 	case tokLParen:
 		if err := p.advance(); err != nil {
 			return nil, err
@@ -206,7 +256,7 @@ func (p *parser) parsePrimary() (Node, error) {
 		if err := p.expect(tokRParen); err != nil {
 			return nil, err
 		}
-		return n, nil
+		return n, p.wrap(p.depth)
 	}
 	return nil, p.errf("expected operand, found %s", p.tok.kind)
 }

@@ -103,6 +103,55 @@ func TestSyntaxErrorDetails(t *testing.T) {
 	}
 }
 
+// Nesting is bounded at MaxDepth levels, counted over parentheses,
+// unary operators, conditionals, call arguments and binary-operator
+// chains: input one level deeper is refused with stable text, input at
+// the bound parses, and input far beyond it (which would otherwise
+// overflow the stack of the parser or of Fold) is refused just the same.
+func TestParseDepthBound(t *testing.T) {
+	const msg = "expression nests deeper than 1000 levels"
+	nest := func(open, close string, n int, inner string) string {
+		return strings.Repeat(open, n) + inner + strings.Repeat(close, n)
+	}
+	sum := func(terms int) string { return "1" + strings.Repeat("+1", terms-1) }
+	cases := []struct {
+		name string
+		src  string
+		ok   bool
+	}{
+		{"parens at bound", nest("(", ")", MaxDepth-1, "x"), true},
+		{"parens over bound", nest("(", ")", MaxDepth, "x"), false},
+		{"parens far over bound", nest("(", ")", 100000, "x"), false},
+		{"unary at bound", strings.Repeat("-", MaxDepth-1) + "x", true},
+		{"unary over bound", strings.Repeat("!", MaxDepth) + "x", false},
+		{"sum at bound", sum(MaxDepth), true},
+		{"sum over bound", sum(MaxDepth + 1), false},
+		{"sum far over bound", sum(300000), false},
+		{"conditionals over bound", strings.Repeat("c ? 1 : ", MaxDepth) + "0", false},
+		{"call arguments over bound", nest("f(", ")", MaxDepth, "x"), false},
+		{"chains inside parens over bound", nest("(", "+1+1)", 400, "x"), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n, err := Parse(c.src)
+			if c.ok {
+				if err != nil {
+					t.Fatalf("refused at the bound: %v", err)
+				}
+				Fold(n) // must not exhaust the stack
+				return
+			}
+			var se *SyntaxError
+			if !errors.As(err, &se) || se.Msg != msg {
+				t.Fatalf("err = %v, want a SyntaxError %q", err, msg)
+			}
+			if _, err := CompileStringFolded(c.src); err == nil || !strings.Contains(err.Error(), msg) {
+				t.Fatalf("CompileStringFolded err = %v, want %q", err, msg)
+			}
+		})
+	}
+}
+
 func TestMustParsePanicsOnError(t *testing.T) {
 	defer func() {
 		if recover() == nil {

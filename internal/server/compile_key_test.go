@@ -58,10 +58,9 @@ func mutateCost(t *testing.T, m *uml.Model) {
 	t.Fatal("model has no action cost to mutate")
 }
 
-// Every evaluation route on a stored model keys the compile cache by the
-// store id instead of re-hashing the model. The stored models are
-// mutated in place after their first compile: a route that hashed would
-// get a new key and recompile, a route that uses the id hits.
+// Every evaluation route on a stored id evaluates the stored record. The
+// stored models are mutated in place after their record was prepared: a
+// route that prepared anything but the stored record would count a miss.
 func TestStoredModelIDIsCompileKey(t *testing.T) {
 	est := estimator.New()
 	srv := New(Config{Estimator: est})
@@ -95,8 +94,8 @@ func TestStoredModelIDIsCompileKey(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("prime %d: status %d: %s", i, code, body)
 		}
-		m, _ := srv.store.get(ids[i])
-		mutateCost(t, m)
+		c, _ := srv.store.get(ids[i])
+		mutateCost(t, c.Model())
 	}
 	_, misses0 := est.CacheStats()
 
@@ -116,7 +115,7 @@ func TestStoredModelIDIsCompileKey(t *testing.T) {
 			t.Fatalf("%s: status %d: %s", r.path, code, body)
 		}
 		if _, misses := est.CacheStats(); misses != misses0 {
-			t.Errorf("%s recompiled a stored model (compile misses %d → %d): it re-hashed instead of using the id",
+			t.Errorf("%s recompiled a stored model (misses %d → %d) instead of using its record",
 				r.path, misses0, misses)
 			misses0 = misses
 		}

@@ -11,9 +11,9 @@
 //     bounded wait queue; beyond that, requests are shed with
 //     503 + Retry-After instead of queueing unboundedly
 //   - a content-addressed model store (POST /v1/models) whose ids are
-//     canonical-XMI content hashes — the same keys the estimator's
-//     compiled-program cache uses, so repeated requests for the same
-//     model content compile once
+//     canonical-XMI content hashes and whose entries are estimator
+//     records, so repeated requests for the same model content check,
+//     compile and lower it once
 //   - graceful drain: Drain() flips /healthz to 503 and rejects new
 //     evaluations while in-flight work completes (cmd/prophetd wires
 //     this to SIGTERM via http.Server.Shutdown)
@@ -40,7 +40,6 @@ import (
 	"prophet/internal/estimator"
 	"prophet/internal/obs"
 	"prophet/internal/sim"
-	"prophet/internal/uml"
 	"prophet/internal/xmi"
 )
 
@@ -65,8 +64,9 @@ type Config struct {
 	MaxTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (0 = 8 MiB).
 	MaxBodyBytes int64
-	// MaxModels bounds the content-addressed model store; beyond it the
-	// oldest models are evicted (0 = 1024).
+	// MaxModels bounds the content-addressed model store, and with it the
+	// prepared programs; beyond it the oldest models are evicted
+	// (0 = 1024).
 	MaxModels int
 	// Registry receives the server's metrics (nil = a fresh registry).
 	Registry *obs.Registry
@@ -400,37 +400,47 @@ func decodeJSON(r *http.Request, v any) error {
 	return nil
 }
 
-// resolveModel materializes a ModelRef: inline XMI is decoded (under a
-// "parse" span on the request trace), content-addressed and stored; ids
-// are looked up in the store. The returned status is the HTTP code to
-// report on error.
-func (s *Server) resolveModel(ctx context.Context, ref ModelRef) (*uml.Model, string, int, error) {
+// register decodes an XMI document (under a "parse" span on the request
+// trace), content-addresses it and stores its record. POST /v1/models and
+// inline model_xmi both register through it, so a document already
+// stored gets its stored record, with whatever that record has prepared.
+func (s *Server) register(ctx context.Context, doc string) (string, *estimator.Compiled, error) {
+	_, sp := obs.StartSpan(ctx, "parse")
+	sp.Annotate("bytes", fmt.Sprint(len(doc)))
+	m, err := xmi.DecodeString(doc)
+	sp.End()
+	if err != nil {
+		return "", nil, fmt.Errorf("decode model: %v", err)
+	}
+	id, err := xmi.Hash(m)
+	if err != nil {
+		return "", nil, fmt.Errorf("hash model: %v", err)
+	}
+	return id, s.store.put(id, m), nil
+}
+
+// resolveModel materializes a ModelRef as its stored record and id:
+// inline XMI is registered, ids are looked up in the store. The returned
+// status is the HTTP code to report on error.
+func (s *Server) resolveModel(ctx context.Context, ref ModelRef) (*estimator.Compiled, string, int, error) {
 	switch {
 	case ref.ModelXMI != "" && ref.ModelID != "":
 		return nil, "", http.StatusBadRequest, errors.New("set model_id or model_xmi, not both")
 	case ref.ModelXMI != "":
-		_, sp := obs.StartSpan(ctx, "parse")
-		sp.Annotate("bytes", fmt.Sprint(len(ref.ModelXMI)))
-		m, err := xmi.DecodeString(ref.ModelXMI)
-		sp.End()
+		id, c, err := s.register(ctx, ref.ModelXMI)
 		if err != nil {
 			return nil, "", http.StatusBadRequest, fmt.Errorf("model_xmi: %v", err)
 		}
-		id, err := xmi.Hash(m)
-		if err != nil {
-			return nil, "", http.StatusBadRequest, fmt.Errorf("model_xmi: %v", err)
-		}
-		s.store.put(id, m)
-		return m, id, 0, nil
+		return c, id, 0, nil
 	case ref.ModelID != "":
 		_, sp := obs.StartSpan(ctx, "parse")
-		m, ok := s.store.get(ref.ModelID)
+		c, ok := s.store.get(ref.ModelID)
 		sp.Annotate("cache", boolAttr(ok, "hit", "miss"))
 		sp.End()
 		if !ok {
 			return nil, "", http.StatusNotFound, fmt.Errorf("unknown model %q (upload it via POST /v1/models)", ref.ModelID)
 		}
-		return m, ref.ModelID, 0, nil
+		return c, ref.ModelID, 0, nil
 	}
 	return nil, "", http.StatusBadRequest, errors.New("request needs model_id or model_xmi")
 }
@@ -490,12 +500,11 @@ func writeEvalError(w http.ResponseWriter, err error) {
 	writeError(w, evalStatus(err), err.Error())
 }
 
-// buildRequest converts the wire request to an estimator.Request bound
-// to ctx and the server's metrics registry, so every evaluation feeds the
-// per-stage latency histograms /metrics serves. id is m's content
-// address, which the estimator takes as its compile-cache key instead of
-// hashing the model again.
-func (s *Server) buildRequest(ctx context.Context, m *uml.Model, id string, er *EstimateRequest) (estimator.Request, error) {
+// buildRequest converts the wire request to an estimator.Request on the
+// stored record c, bound to ctx and the server's metrics registry, so
+// every evaluation feeds the per-stage latency histograms /metrics
+// serves.
+func (s *Server) buildRequest(ctx context.Context, c *estimator.Compiled, er *EstimateRequest) (estimator.Request, error) {
 	pol, err := policyOf(er.Policy)
 	if err != nil {
 		return estimator.Request{}, err
@@ -513,8 +522,8 @@ func (s *Server) buildRequest(ctx context.Context, m *uml.Model, id string, er *
 		return estimator.Request{}, err
 	}
 	return estimator.Request{
-		Model:     m,
-		ModelKey:  id,
+		Model:     c.Model(),
+		Compiled:  c,
 		Params:    sp,
 		Globals:   er.Globals,
 		Seed:      er.Seed,
@@ -536,21 +545,12 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
-	_, sp := obs.StartSpan(r.Context(), "parse")
-	sp.Annotate("bytes", fmt.Sprint(len(body)))
-	m, err := xmi.DecodeString(string(body))
-	sp.End()
+	id, c, err := s.register(r.Context(), string(body))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("decode model: %v", err))
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	id, err := xmi.Hash(m)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("hash model: %v", err))
-		return
-	}
-	s.store.put(id, m)
-	writeJSON(w, http.StatusOK, ModelResponse{ID: id, Name: m.Name()})
+	writeJSON(w, http.StatusOK, ModelResponse{ID: id, Name: c.Model().Name()})
 }
 
 // validateEval rejects the statically-invalid parts of an evaluation
@@ -584,7 +584,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	m, id, code, err := s.resolveModel(r.Context(), er.ModelRef)
+	c, id, code, err := s.resolveModel(r.Context(), er.ModelRef)
 	if err != nil {
 		writeError(w, code, err.Error())
 		return
@@ -598,11 +598,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveEval(w, r, estimateKey(id, &er), er.TimeoutMS, func(ctx context.Context) (evalResponse, error) {
-		req, err := s.buildRequest(ctx, m, id, &er)
-		if err != nil {
-			return nil, err
-		}
-		c, err := s.est.CompileKeyedCtx(ctx, id, m)
+		req, err := s.buildRequest(ctx, c, &er)
 		if err != nil {
 			return nil, err
 		}
@@ -650,7 +646,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "global sweep needs name and values")
 		return
 	}
-	m, id, code, err := s.resolveModel(r.Context(), sr.ModelRef)
+	c, id, code, err := s.resolveModel(r.Context(), sr.ModelRef)
 	if err != nil {
 		writeError(w, code, err.Error())
 		return
@@ -662,9 +658,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sharded := s.pool != nil && !isShardJob(r)
 	s.serveEval(w, r, sweepKey(id, &sr), sr.TimeoutMS, func(ctx context.Context) (evalResponse, error) {
 		if sharded {
-			return s.shardSweep(ctx, id, m, &sr)
+			return s.shardSweep(ctx, id, c.Model(), &sr)
 		}
-		req, err := s.buildRequest(ctx, m, id, &sr.EstimateRequest)
+		req, err := s.buildRequest(ctx, c, &sr.EstimateRequest)
 		if err != nil {
 			return nil, err
 		}
@@ -707,7 +703,7 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "monte carlo needs runs >= 1")
 		return
 	}
-	m, id, code, err := s.resolveModel(r.Context(), mr.ModelRef)
+	c, id, code, err := s.resolveModel(r.Context(), mr.ModelRef)
 	if err != nil {
 		writeError(w, code, err.Error())
 		return
@@ -720,9 +716,9 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 	s.serveEval(w, r, monteCarloKey(id, &mr), mr.TimeoutMS, func(ctx context.Context) (evalResponse, error) {
 		var makespans []float64
 		if sharded {
-			makespans, err = s.shardMonteCarlo(ctx, id, m, &mr)
+			makespans, err = s.shardMonteCarlo(ctx, id, c.Model(), &mr)
 		} else {
-			req, err2 := s.buildRequest(ctx, m, id, &EstimateRequest{
+			req, err2 := s.buildRequest(ctx, c, &EstimateRequest{
 				Params: mr.Params, Globals: mr.Globals, Seed: mr.Seed,
 				Policy: mr.Policy, MaxSteps: mr.MaxSteps, Backend: mr.Backend,
 			})
@@ -761,12 +757,12 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "compare needs a non-empty processes list")
 		return
 	}
-	ma, ida, code, err := s.resolveModel(r.Context(), cr.ModelA)
+	ca, ida, code, err := s.resolveModel(r.Context(), cr.ModelA)
 	if err != nil {
 		writeError(w, code, fmt.Sprintf("model_a: %v", err))
 		return
 	}
-	mb, idb, code, err := s.resolveModel(r.Context(), cr.ModelB)
+	cb, idb, code, err := s.resolveModel(r.Context(), cr.ModelB)
 	if err != nil {
 		writeError(w, code, fmt.Sprintf("model_b: %v", err))
 		return
@@ -776,14 +772,14 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveEval(w, r, compareKey(ida, idb, &cr), cr.TimeoutMS, func(ctx context.Context) (evalResponse, error) {
-		req, err := s.buildRequest(ctx, ma, ida, &EstimateRequest{
+		req, err := s.buildRequest(ctx, ca, &EstimateRequest{
 			Params: cr.Params, Globals: cr.Globals, Seed: cr.Seed, Policy: cr.Policy,
 		})
 		if err != nil {
 			return nil, err
 		}
 		req.Parallel = 1
-		cmp, err := s.est.CompareModels(ma, ida, mb, idb, req, cr.Processes)
+		cmp, err := s.est.CompareModels(ca, cb, req, cr.Processes)
 		if err != nil {
 			return nil, err
 		}

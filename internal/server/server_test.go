@@ -17,6 +17,7 @@ import (
 	"prophet/internal/estimator"
 	"prophet/internal/machine"
 	"prophet/internal/samples"
+	"prophet/internal/uml"
 	"prophet/internal/xmi"
 )
 
@@ -110,6 +111,35 @@ func TestEstimateInlineXMI(t *testing.T) {
 	}
 	if er.Summary == nil {
 		t.Error("summary requested but absent")
+	}
+}
+
+// An inline model whose cost nests deeper than the expression bound gets
+// a 422 naming the bound; checking it does not recurse through the
+// nesting, however deep.
+func TestInlineModelTooDeepExpression(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	for name, cost := range map[string]string{
+		"parentheses": strings.Repeat("(", 20000) + "1" + strings.Repeat(")", 20000),
+		"sum":         "1" + strings.Repeat("+1", 20000),
+	} {
+		m := samples.Sample()
+		for _, d := range m.Diagrams() {
+			for _, n := range d.Nodes() {
+				if a, ok := n.(*uml.ActionNode); ok && a.CostFunc != "" {
+					a.CostFunc = cost
+				}
+			}
+		}
+		doc, err := xmi.EncodeString(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, _, body := postJSON(t, ts.URL+"/v1/estimate", EstimateRequest{ModelRef: ModelRef{ModelXMI: doc}})
+		if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "expression nests deeper than 1000 levels") {
+			t.Errorf("%s: status %d, want 422 naming the nesting bound: %.300s", name, code, body)
+		}
 	}
 }
 

@@ -50,8 +50,8 @@ func (u *upstreamError) Error() string {
 // and is routed to the next worker clockwise. Routing is a pure function
 // of (worker set, key): every coordinator with the same -workers list
 // routes the same sub-range of the same model to the same worker, which
-// is what gives workers result-cache and compile-cache affinity for the
-// shards they own.
+// is what gives workers result-cache and prepared-record affinity for
+// the shards they own.
 type hashRing struct {
 	points []ringPoint
 }

@@ -191,8 +191,8 @@ func (s *Server) registerHelp() {
 		"http_request_seconds":         "HTTP request latency in seconds, by route.",
 		"estimate_stage_seconds":       "Evaluation pipeline stage latency in seconds, by stage.",
 		"estimator_runs_total":         "Evaluations executed by the estimator.",
-		"estimator_cache_hits_total":   "CompileCached calls served from the compiled-program cache.",
-		"estimator_cache_misses_total": "CompileCached calls that had to compile.",
+		"estimator_cache_hits_total":   "Evaluations that found their model record already prepared.",
+		"estimator_cache_misses_total": "Evaluations that checked and compiled their model record.",
 		"server_inflight":              "Evaluations currently holding an admission slot.",
 		"server_queue_depth":           "Requests currently waiting for an admission slot.",
 		"server_rejected_total":        "Requests shed by admission control, by reason.",

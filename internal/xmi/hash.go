@@ -22,8 +22,7 @@ func HashBytes(text []byte) string {
 // Hash canonicalizes m through Encode and returns the content address of
 // the result. Two models with identical canonical XMI hash identically;
 // any in-place mutation that changes the persisted form changes the hash.
-// This is the shared cache key of the estimator's compiled-program cache
-// and the serving layer's model store.
+// It is the model id of the serving layer's model store.
 func Hash(m *uml.Model) (string, error) {
 	s, err := EncodeString(m)
 	if err != nil {

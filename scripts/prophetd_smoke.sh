@@ -51,8 +51,8 @@ case "$id" in
     *) fail "unexpected model id in $reg" ;;
 esac
 
-# Estimate by id three times: two distinct seeds (the second must hit the
-# compile cache), then a repeat of the second (which must hit the result
+# Estimate by id three times: two distinct seeds (the second must find the
+# model's record prepared), then a repeat of the second (which must hit the result
 # cache and skip the estimator entirely). Cacheable bodies are canonical —
 # no trace_id — so the trace id comes from the X-Trace-Id header.
 hdrs="$(mktemp)"
@@ -87,7 +87,7 @@ for want in estimator_cache_hits_total estimator_cache_misses_total \
     printf '%s\n' "$metrics" | grep -q "^${want}" || fail "/metrics missing ${want}"
 done
 printf '%s\n' "$metrics" | grep -q '^estimator_cache_hits_total 1' \
-    || fail "second estimate did not hit the compile cache"
+    || fail "second estimate did not find the model's record prepared"
 printf '%s\n' "$metrics" | grep -q '^server_result_cache_total{outcome="hit"} 1' \
     || fail "repeated estimate did not count as a result-cache hit"
 printf '%s\n' "$metrics" | grep -q '^server_result_cache_entries 2' \
