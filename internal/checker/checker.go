@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 
+	"prophet/internal/expr"
 	"prophet/internal/profile"
 	"prophet/internal/uml"
 )
@@ -184,7 +185,10 @@ func (c *Checker) CheckCounted(m *uml.Model) (*Report, int) {
 // buffers in registration order (so reports are byte-identical to the
 // historical engine that ran each rule as its own model walk).
 func (c *Checker) check(m *uml.Model) (*Report, int) {
-	shared := &walkShared{known: make(map[string]bool, len(wellKnownVars)+len(m.Variables()))}
+	shared := &walkShared{
+		known: make(map[string]bool, len(wellKnownVars)+len(m.Variables())),
+		exprs: map[string]*parsedExpr{},
+	}
 	for v := range wellKnownVars {
 		shared.known[v] = true
 	}
@@ -282,8 +286,57 @@ func (c *Checker) check(m *uml.Model) (*Report, int) {
 // every rule. known is the legal-variable-name set (declared variables,
 // well-known names, and loop variables, which become complete only after
 // every node has been visited — rules that need it read it in finish).
+// exprs holds every expression source parsed during the walk, so a
+// source that many elements share, or that several rules read, is
+// parsed once; it lives for one check, because a model's expression
+// fields can change between checks without notice.
 type walkShared struct {
 	known map[string]bool
+	exprs map[string]*parsedExpr
+}
+
+// parsedExpr is one expression source as the rules read it: its parse
+// result and the names it uses.
+type parsedExpr struct {
+	err error
+	exprNames
+	// dist is set when the whole source is a distribution constructor
+	// call (expr.DistCall); distName is the constructor and args hold the
+	// names each argument uses.
+	dist     bool
+	distName string
+	args     []exprNames
+}
+
+// exprNames are the distinct variable and function names an expression
+// uses, in first-use order (expr.Vars, expr.Calls).
+type exprNames struct {
+	vars, calls []string
+}
+
+func namesOf(n expr.Node) exprNames {
+	return exprNames{vars: expr.Vars(n), calls: expr.Calls(n)}
+}
+
+// parse returns the parse of src, parsing it on first use.
+func (s *walkShared) parse(src string) *parsedExpr {
+	if p, ok := s.exprs[src]; ok {
+		return p
+	}
+	n, err := expr.Parse(src)
+	p := &parsedExpr{err: err}
+	if err == nil {
+		p.exprNames = namesOf(n)
+		var args []expr.Node
+		if p.distName, args, p.dist = expr.DistCall(n); p.dist {
+			p.args = make([]exprNames, len(args))
+			for i, a := range args {
+				p.args[i] = namesOf(a)
+			}
+		}
+	}
+	s.exprs[src] = p
+	return p
 }
 
 // ruleContext is handed to each rule implementation.

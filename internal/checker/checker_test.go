@@ -1,6 +1,7 @@
 package checker
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -304,6 +305,60 @@ func TestFunctionBodyChecked(t *testing.T) {
 	found := diagnosticsFor(rep, "cost-functions")
 	if len(found) != 1 || !strings.Contains(found[0].Message, `"y"`) {
 		t.Errorf("undeclared variable in function body not reported: %v", found)
+	}
+}
+
+// A source that many elements share is parsed once per check, yet each
+// element still gets its own diagnostic, with its own id, in walk order;
+// and whether a name is declared is decided per element, so a function
+// body whose parameter is x passes while an action cost of the same text
+// is flagged.
+func TestSharedSourcesDiagnosedPerElement(t *testing.T) {
+	b := builder.New("m")
+	b.Function("F", []string{"x"}, "x*2")
+	d := b.Diagram("main")
+	d.Initial()
+	chain := []string{"initial"}
+	action := func(name, cost string) {
+		d.Action(name).Cost(cost)
+		chain = append(chain, name)
+	}
+	for i := 0; i < 200; i++ {
+		action(fmt.Sprintf("Shared%d", i), "F(1) + y")
+	}
+	for i := 0; i < 3; i++ {
+		action(fmt.Sprintf("Broken%d", i), "y *")
+	}
+	action("Twin", "x*2")
+	d.Final()
+	d.Chain(append(chain, "final")...)
+	m, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]string{
+		"F(1) + y": `cost function "F(1) + y" references undeclared variable "y"`,
+		"y *":      `cost function "y *" does not parse: expr: expected operand, found end of expression at offset 3 in "y *"`,
+		"x*2":      `cost function "x*2" references undeclared variable "x"`,
+	}
+	var wantDiags []Diagnostic
+	for _, n := range m.Main().Nodes() {
+		if a, ok := n.(*uml.ActionNode); ok {
+			wantDiags = append(wantDiags, Diagnostic{
+				Rule: "cost-functions", Severity: Error, ElementID: a.ID(), Message: want[a.CostFunc],
+			})
+		}
+	}
+	got := diagnosticsFor(checkModel(t, m), "cost-functions")
+	if len(got) != len(wantDiags) {
+		t.Fatalf("got %d cost-function diagnostics, want %d (one per action, none for the body of F): %v",
+			len(got), len(wantDiags), got)
+	}
+	for i := range wantDiags {
+		if got[i] != wantDiags[i] {
+			t.Errorf("diagnostic %d = %v, want %v", i, got[i], wantDiags[i])
+		}
 	}
 }
 

@@ -16,6 +16,10 @@ var wellKnownVars = map[string]bool{
 	"nodes": true, "processors": true, "processes": true, "threads": true,
 }
 
+// quote quotes an expression source in a diagnostic; a long source is
+// cut to its head (expr.QuoteSource).
+func quote(src string) string { return expr.QuoteSource(src, 0) }
+
 // ruleVisitor is the per-element interface of a fused rule: the checker
 // performs a single walk of the model (model, then per diagram: the
 // diagram, its nodes, its edges) and dispatches each element to every
@@ -235,14 +239,18 @@ var allRules = []rule{
 		doc:             "every node is reachable from its diagram's initial node",
 		defaultSeverity: Warning,
 		visit: func(ctx *ruleContext) ruleVisitor {
+			// One seen set and one stack serve every diagram; marked lists
+			// the ids seen in the current diagram, so clearing costs what
+			// the diagram's search did.
+			seen := map[string]bool{}
+			var stack, marked []string
 			return ruleVisitor{
 				leaveDiagram: func(d *uml.Diagram) {
 					ini := d.Initial()
 					if ini == nil {
 						return // single-initial already reports this
 					}
-					seen := make(map[string]bool, len(d.Nodes()))
-					stack := []string{ini.ID()}
+					stack = append(stack[:0], ini.ID())
 					for len(stack) > 0 {
 						id := stack[len(stack)-1]
 						stack = stack[:len(stack)-1]
@@ -250,6 +258,7 @@ var allRules = []rule{
 							continue
 						}
 						seen[id] = true
+						marked = append(marked, id)
 						for _, e := range d.Outgoing(id) {
 							stack = append(stack, e.To())
 						}
@@ -259,6 +268,10 @@ var allRules = []rule{
 							ctx.add(n, "node %q is unreachable from the initial node", n.Name())
 						}
 					}
+					for _, id := range marked {
+						delete(seen, id)
+					}
+					marked = marked[:0]
 				},
 			}
 		},
@@ -360,14 +373,14 @@ var allRules = []rule{
 				finish: func() {
 					known := ctx.shared.known
 					for _, e := range guarded {
-						n, err := expr.Parse(e.Guard)
-						if err != nil {
-							ctx.add(e, "guard %q does not parse: %v", e.Guard, err)
+						p := ctx.shared.parse(e.Guard)
+						if p.err != nil {
+							ctx.add(e, "guard %s does not parse: %v", quote(e.Guard), p.err)
 							continue
 						}
-						for _, v := range expr.Vars(n) {
+						for _, v := range p.vars {
 							if !known[v] {
-								ctx.add(e, "guard %q references undeclared variable %q", e.Guard, v)
+								ctx.add(e, "guard %s references undeclared variable %q", quote(e.Guard), v)
 							}
 						}
 					}
@@ -402,19 +415,19 @@ var allRules = []rule{
 				},
 				finish: func() {
 					known := ctx.shared.known
-					// checkNode validates one expression AST's calls and vars.
-					checkNode := func(e uml.Element, what, src string, n expr.Node, extraVars map[string]bool) {
-						for _, name := range expr.Calls(n) {
+					// checkNames validates the calls and vars of one expression.
+					checkNames := func(e uml.Element, what, src string, names exprNames, extraVars map[string]bool) {
+						for _, name := range names.calls {
 							if expr.IsBuiltin(name) {
 								continue
 							}
 							if _, ok := ctx.model.Function(name); !ok {
-								ctx.add(e, "%s %q calls undefined function %q", what, src, name)
+								ctx.add(e, "%s %s calls undefined function %q", what, quote(src), name)
 							}
 						}
-						for _, v := range expr.Vars(n) {
+						for _, v := range names.vars {
 							if !known[v] && !extraVars[v] {
-								ctx.add(e, "%s %q references undeclared variable %q", what, src, v)
+								ctx.add(e, "%s %s references undeclared variable %q", what, quote(src), v)
 							}
 						}
 					}
@@ -426,22 +439,20 @@ var allRules = []rule{
 						if src == "" {
 							return
 						}
-						n, err := expr.Parse(src)
-						if err != nil {
-							ctx.add(e, "%s %q does not parse: %v", what, src, err)
+						p := ctx.shared.parse(src)
+						if p.err != nil {
+							ctx.add(e, "%s %s does not parse: %v", what, quote(src), p.err)
 							return
 						}
-						if stochastic {
-							if name, args, ok := expr.DistCall(n); ok {
-								if _, defined := ctx.model.Function(name); !defined {
-									for _, a := range args {
-										checkNode(e, what, src, a, extraVars)
-									}
-									return
+						if stochastic && p.dist {
+							if _, defined := ctx.model.Function(p.distName); !defined {
+								for _, a := range p.args {
+									checkNames(e, what, src, a, extraVars)
 								}
+								return
 							}
 						}
-						checkNode(e, what, src, n, extraVars)
+						checkNames(e, what, src, p.exprNames, extraVars)
 					}
 					for _, node := range carriers {
 						switch x := node.(type) {
@@ -516,19 +527,18 @@ var allRules = []rule{
 					if !set {
 						continue
 					}
-					n, err := expr.Parse(raw)
-					if err != nil {
+					p := ctx.shared.parse(raw)
+					if p.err != nil {
 						continue // profile-conformance reports the parse error
 					}
-					name, _, isDist := expr.DistCall(n)
-					if !isDist || expr.IsBuiltin(name) {
+					if !p.dist || expr.IsBuiltin(p.distName) {
 						continue
 					}
-					if _, defined := ctx.model.Function(name); defined {
+					if _, defined := ctx.model.Function(p.distName); defined {
 						continue // a model-defined function shadows the constructor
 					}
-					ctx.add(e, "tag %q of <<%s>> does not accept a distribution literal %q (draws are only legal in stochastic tags such as %q)",
-						td.Name, stName, raw, profile.TagTime)
+					ctx.add(e, "tag %q of <<%s>> does not accept a distribution literal %s (draws are only legal in stochastic tags such as %q)",
+						td.Name, stName, quote(raw), profile.TagTime)
 				}
 			}
 			return ruleVisitor{

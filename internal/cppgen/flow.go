@@ -19,7 +19,7 @@ func (g *Generator) emitFlow(w *writer, m *uml.Model, names map[string]string) e
 	if main == nil {
 		return nil
 	}
-	f := &flowEmitter{model: m, names: names, w: w}
+	f := &flowEmitter{model: m, names: names, w: w, exprs: map[string]rendered{}}
 	return f.emitDiagram(main)
 }
 
@@ -34,6 +34,28 @@ type flowEmitter struct {
 	// checker also rejects it, but the generator must not recurse forever
 	// on unchecked input).
 	active []string
+	// exprs holds every expression source rendered by this fold, so a
+	// cost that many elements share is parsed once. It lives for one
+	// Generate call: the model's expression fields may change between
+	// calls.
+	exprs map[string]rendered
+}
+
+// rendered is one expression source's C++ text or render error.
+type rendered struct {
+	text string
+	err  error
+}
+
+// render is RenderExpr through the fold's memo; callers wrap the error
+// with their own context.
+func (f *flowEmitter) render(src string) (string, error) {
+	r, ok := f.exprs[src]
+	if !ok {
+		r.text, r.err = RenderExpr(src)
+		f.exprs[src] = r
+	}
+	return r.text, r.err
 }
 
 // emitDiagram emits the statements of a whole diagram by folding its
@@ -77,7 +99,7 @@ func (f *flowEmitter) emit(r *uml.Region) error {
 			if a.Edge.IsElse() {
 				f.w.line("} else {")
 			} else {
-				guard, err := RenderExpr(a.Edge.Guard)
+				guard, err := f.render(a.Edge.Guard)
 				if err != nil {
 					return fmt.Errorf("cppgen: diagram %q: guard %q: %w", r.Node.Diagram().Name(), a.Edge.Guard, err)
 				}
@@ -188,7 +210,7 @@ func (f *flowEmitter) executeArgs(n *uml.ActionNode) (string, error) {
 		}
 		cost := "0"
 		if src != "" {
-			c, err := RenderExpr(src)
+			c, err := f.render(src)
 			if err != nil {
 				return "", fmt.Errorf("cppgen: element %q cost function: %w", n.Name(), err)
 			}
@@ -206,7 +228,7 @@ func (f *flowEmitter) executeArgs(n *uml.ActionNode) (string, error) {
 		if !ok {
 			return "", fmt.Errorf("cppgen: element %q: required tag %q unset", n.Name(), tag)
 		}
-		cpp, err := RenderExpr(raw)
+		cpp, err := f.render(raw)
 		if err != nil {
 			return "", fmt.Errorf("cppgen: element %q tag %q: %w", n.Name(), tag, err)
 		}
@@ -230,7 +252,7 @@ func (f *flowEmitter) emitActivity(n *uml.ActivityNode) error {
 		if !ok {
 			return fmt.Errorf("cppgen: activity %q was not declared", n.Name())
 		}
-		cost, err := RenderExpr(n.CostFunc)
+		cost, err := f.render(n.CostFunc)
 		if err != nil {
 			return fmt.Errorf("cppgen: activity %q cost function: %w", n.Name(), err)
 		}
@@ -256,7 +278,7 @@ func (f *flowEmitter) emitBody(what, owner, name string) error {
 func (f *flowEmitter) emitParallelRegion(n *uml.ActivityNode) error {
 	count := "threads"
 	if raw, ok := n.Tag(profile.TagCount); ok {
-		c, err := RenderExpr(raw)
+		c, err := f.render(raw)
 		if err != nil {
 			return fmt.Errorf("cppgen: parallel region %q count: %w", n.Name(), err)
 		}
@@ -274,7 +296,7 @@ func (f *flowEmitter) emitParallelRegion(n *uml.ActivityNode) error {
 
 // emitLoop emits a counted for statement around the loop body diagram.
 func (f *flowEmitter) emitLoop(n *uml.LoopNode) error {
-	count, err := RenderExpr(n.Count)
+	count, err := f.render(n.Count)
 	if err != nil {
 		return fmt.Errorf("cppgen: loop %q count: %w", n.Name(), err)
 	}

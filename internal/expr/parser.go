@@ -104,7 +104,7 @@ func (p *parser) parseCond() (Node, error) {
 		return nil, err
 	}
 	defer p.leave()
-	c, err := p.parseOr()
+	c, err := p.parseBinary(0)
 	if err != nil {
 		return nil, err
 	}
@@ -130,47 +130,61 @@ func (p *parser) parseCond() (Node, error) {
 	return &Cond{C: c, A: a, B: b}, p.wrap(max(d, p.depth))
 }
 
-func (p *parser) parseOr() (Node, error) {
-	return p.parseBinary(p.parseAnd, map[tokenKind]string{tokOr: "||"}, p.parseAnd)
-}
-
-func (p *parser) parseAnd() (Node, error) {
-	return p.parseBinary(p.parseCmp, map[tokenKind]string{tokAnd: "&&"}, p.parseCmp)
-}
-
-func (p *parser) parseCmp() (Node, error) {
-	ops := map[tokenKind]string{
-		tokEQ: "==", tokNE: "!=", tokLT: "<", tokLE: "<=", tokGT: ">", tokGE: ">=",
+// binaryOp returns the precedence level and text of a binary operator
+// token, lowest level first (see Parse); ok is false for any other
+// token.
+func binaryOp(k tokenKind) (prec int, op string, ok bool) {
+	switch k {
+	case tokOr:
+		return 0, "||", true
+	case tokAnd:
+		return 1, "&&", true
+	case tokEQ:
+		return 2, "==", true
+	case tokNE:
+		return 2, "!=", true
+	case tokLT:
+		return 2, "<", true
+	case tokLE:
+		return 2, "<=", true
+	case tokGT:
+		return 2, ">", true
+	case tokGE:
+		return 2, ">=", true
+	case tokPlus:
+		return 3, "+", true
+	case tokMinus:
+		return 3, "-", true
+	case tokStar:
+		return 4, "*", true
+	case tokSlash:
+		return 4, "/", true
+	case tokPercent:
+		return 4, "%", true
 	}
-	return p.parseBinary(p.parseAdd, ops, p.parseAdd)
+	return 0, "", false
 }
 
-func (p *parser) parseAdd() (Node, error) {
-	return p.parseBinary(p.parseMul, map[tokenKind]string{tokPlus: "+", tokMinus: "-"}, p.parseMul)
-}
-
-func (p *parser) parseMul() (Node, error) {
-	ops := map[tokenKind]string{tokStar: "*", tokSlash: "/", tokPercent: "%"}
-	return p.parseBinary(p.parseUnary, ops, p.parseUnary)
-}
-
-// parseBinary parses a left-associative binary level with the given
-// operand parsers and operator set.
-func (p *parser) parseBinary(first func() (Node, error), ops map[tokenKind]string, rest func() (Node, error)) (Node, error) {
-	l, err := first()
+// parseBinary parses a chain of binary operators of precedence level
+// minPrec or above by precedence climbing: each operator takes as its
+// right operand the chain of strictly higher levels that follows it, so
+// every level is left-associative and the tree is the one the grammar's
+// or/and/cmp/add/mul rules describe.
+func (p *parser) parseBinary(minPrec int) (Node, error) {
+	l, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		op, ok := ops[p.tok.kind]
-		if !ok {
+		prec, op, ok := binaryOp(p.tok.kind)
+		if !ok || prec < minPrec {
 			return l, nil
 		}
 		d := p.depth
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		r, err := rest()
+		r, err := p.parseBinary(prec + 1)
 		if err != nil {
 			return nil, err
 		}

@@ -103,6 +103,34 @@ func TestSyntaxErrorDetails(t *testing.T) {
 	}
 }
 
+// A SyntaxError quotes a source of up to 64 bytes whole, and a longer
+// one as a window around the error offset with "..." at each cut end.
+func TestQuoteSource(t *testing.T) {
+	short := strings.Repeat("a+", 31) + "bc" // 64 bytes
+	if got, want := QuoteSource(short, 10), `"`+short+`"`; got != want {
+		t.Errorf("QuoteSource(64 bytes) = %s, want %s", got, want)
+	}
+	long := strings.Repeat("x", 100) + "@" + strings.Repeat("y", 100)
+	_, err := Parse(long)
+	want := `expr: unexpected character '@' at offset 100 in ..."` +
+		strings.Repeat("x", 32) + "@" + strings.Repeat("y", 31) + `"...`
+	if err == nil || err.Error() != want {
+		t.Errorf("Parse(201 bytes) error = %v, want %s", err, want)
+	}
+	if got, want := QuoteSource(long, 0), `"`+strings.Repeat("x", 64)+`"...`; got != want {
+		t.Errorf("QuoteSource(long, 0) = %s, want %s", got, want)
+	}
+	if got, want := QuoteSource(long, len(long)), `..."`+strings.Repeat("y", 64)+`"`; got != want {
+		t.Errorf("QuoteSource(long, end) = %s, want %s", got, want)
+	}
+	// A cut never splits a multi-byte rune.
+	wide := strings.Repeat("é", 100)
+	got := QuoteSource(wide, 51)
+	if strings.Contains(got, `\x`) || !strings.HasPrefix(got, `..."é`) || !strings.HasSuffix(got, `é"...`) {
+		t.Errorf("QuoteSource(two-byte runes) = %s, want whole runes", got)
+	}
+}
+
 // Nesting is bounded at MaxDepth levels, counted over parentheses,
 // unary operators, conditionals, call arguments and binary-operator
 // chains: input one level deeper is refused with stable text, input at

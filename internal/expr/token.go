@@ -1,6 +1,10 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"unicode/utf8"
+)
 
 // tokenKind enumerates lexical token categories.
 type tokenKind int
@@ -79,5 +83,34 @@ type SyntaxError struct {
 }
 
 func (e *SyntaxError) Error() string {
-	return fmt.Sprintf("expr: %s at offset %d in %q", e.Msg, e.Pos, e.Expr)
+	return fmt.Sprintf("expr: %s at offset %d in %s", e.Msg, e.Pos, QuoteSource(e.Expr, e.Pos))
+}
+
+// quoteLimit is the longest expression source QuoteSource quotes whole.
+const quoteLimit = 64
+
+// QuoteSource quotes an expression source for a message, as %q does. A
+// source longer than quoteLimit bytes is cut to a window of about
+// quoteLimit bytes around byte offset pos, and "..." marks each cut end,
+// so a message about hostile input stays small.
+func QuoteSource(src string, pos int) string {
+	if len(src) <= quoteLimit {
+		return strconv.Quote(src)
+	}
+	lo := min(max(pos-quoteLimit/2, 0), len(src)-quoteLimit)
+	hi := lo + quoteLimit
+	for lo > 0 && !utf8.RuneStart(src[lo]) {
+		lo--
+	}
+	for hi < len(src) && !utf8.RuneStart(src[hi]) {
+		hi++
+	}
+	q := strconv.Quote(src[lo:hi])
+	if lo > 0 {
+		q = "..." + q
+	}
+	if hi < len(src) {
+		q += "..."
+	}
+	return q
 }

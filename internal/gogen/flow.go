@@ -18,6 +18,28 @@ type goFlow struct {
 	loopSeq int
 	wgSeq   int
 	active  []string
+	// exprs holds every expression source rendered by this fold, so a
+	// source that many elements share is parsed once. It lives for one
+	// Generate call: the model's expression fields may change between
+	// calls.
+	exprs map[string]rendered
+}
+
+// rendered is one expression source's Go text or render error.
+type rendered struct {
+	text string
+	err  error
+}
+
+// render is renderGo through the fold's memo; callers wrap the error
+// with their own context.
+func (f *goFlow) render(src string) (string, error) {
+	r, ok := f.exprs[src]
+	if !ok {
+		r.text, r.err = renderGo(src)
+		f.exprs[src] = r
+	}
+	return r.text, r.err
 }
 
 func (f *goFlow) line(format string, args ...interface{}) {
@@ -62,7 +84,7 @@ func (f *goFlow) emit(r *uml.Region) error {
 			if a.Edge.IsElse() {
 				f.line("} else {")
 			} else {
-				guard, err := renderGo(a.Edge.Guard)
+				guard, err := f.render(a.Edge.Guard)
 				if err != nil {
 					return fmt.Errorf("gogen: guard %q: %w", a.Edge.Guard, err)
 				}
@@ -158,7 +180,7 @@ func (f *goFlow) emitAction(n *uml.ActionNode) error {
 	for i, tag := range tags {
 		args[i] = "0"
 		if raw, ok := n.Tag(tag); ok {
-			a, err := renderGo(raw)
+			a, err := f.render(raw)
 			if err != nil {
 				return fmt.Errorf("gogen: %q %s: %w", n.Name(), tag, err)
 			}
@@ -178,7 +200,7 @@ func (f *goFlow) emitActivity(n *uml.ActivityNode) error {
 	if n.Stereotype() == profile.OMPParallel {
 		count := "int(1)"
 		if raw, ok := n.Tag(profile.TagCount); ok {
-			c, err := renderGo(raw)
+			c, err := f.render(raw)
 			if err != nil {
 				return fmt.Errorf("gogen: parallel region %q count: %w", n.Name(), err)
 			}
@@ -208,7 +230,7 @@ func (f *goFlow) emitActivity(n *uml.ActivityNode) error {
 }
 
 func (f *goFlow) emitLoop(n *uml.LoopNode) error {
-	count, err := renderGo(n.Count)
+	count, err := f.render(n.Count)
 	if err != nil {
 		return fmt.Errorf("gogen: loop %q count: %w", n.Name(), err)
 	}

@@ -253,7 +253,7 @@ func emitMain(gw *goWriter, m *uml.Model, names map[string]string) error {
 	gw.line("\tuid, pid, tid = 0, 0, 0")
 	gw.line("\t_, _, _ = uid, pid, tid")
 	if main := m.Main(); main != nil {
-		f := &goFlow{model: m, names: names, w: gw, indent: 1}
+		f := &goFlow{model: m, names: names, w: gw, indent: 1, exprs: map[string]rendered{}}
 		if err := f.emitDiagram(main); err != nil {
 			return err
 		}

@@ -122,7 +122,12 @@ func (s *Stereotype) Notation(e uml.Element) string {
 // tag definitions and constraints. It returns one error per violation.
 func (s *Stereotype) ValidateTags(e uml.Element) []error {
 	var errs []error
-	env := expr.NewMapEnv()
+	// env binds the numeric tags for the constraints; most stereotypes
+	// declare none, so it is made only when needed.
+	var env *expr.MapEnv
+	if len(s.Constraints) > 0 {
+		env = expr.NewMapEnv()
+	}
 	for _, td := range s.Tags {
 		raw, ok := e.Tag(td.Name)
 		if !ok {
@@ -140,7 +145,9 @@ func (s *Stereotype) ValidateTags(e uml.Element) []error {
 					e.Name(), td.Name, raw))
 				continue
 			}
-			env.Set(td.Name, float64(v))
+			if env != nil {
+				env.Set(td.Name, float64(v))
+			}
 		case TagDouble:
 			v, err := strconv.ParseFloat(raw, 64)
 			if err != nil {
@@ -148,7 +155,9 @@ func (s *Stereotype) ValidateTags(e uml.Element) []error {
 					e.Name(), td.Name, raw))
 				continue
 			}
-			env.Set(td.Name, v)
+			if env != nil {
+				env.Set(td.Name, v)
+			}
 		case TagExpr:
 			if _, err := expr.Parse(raw); err != nil {
 				errs = append(errs, fmt.Errorf("element %q: tag %q must be an expression: %v",

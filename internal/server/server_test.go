@@ -140,6 +140,10 @@ func TestInlineModelTooDeepExpression(t *testing.T) {
 		if code != http.StatusUnprocessableEntity || !strings.Contains(string(body), "expression nests deeper than 1000 levels") {
 			t.Errorf("%s: status %d, want 422 naming the nesting bound: %.300s", name, code, body)
 		}
+		// The body quotes a window of the 40,001-byte source, not all of it.
+		if len(body) >= 16<<10 {
+			t.Errorf("%s: 422 body is %d bytes, want under 16 KiB", name, len(body))
+		}
 	}
 }
 
