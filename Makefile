@@ -30,9 +30,10 @@ test:
 # (worker-pool fan-out) plus the estimator entry points built on it,
 # the HTTP serving layer (admission control, drain, model store), and
 # the engine's users: the interpreter (fork and OpenMP processes) and
-# the machine model (delivery callbacks run on process goroutines).
+# the machine model (delivery callbacks run on process goroutines), and
+# the flow graph a diagram builds once and shares with every reader.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/estimator/... ./internal/lower/... ./internal/server/... ./internal/analytic/... ./internal/interp/... ./internal/machine/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/estimator/... ./internal/lower/... ./internal/server/... ./internal/analytic/... ./internal/interp/... ./internal/machine/... ./internal/uml/...
 
 # Black-box smoke test of the prophetd binary: start it, register a
 # model, estimate, scrape /metrics, and check SIGTERM drains cleanly.

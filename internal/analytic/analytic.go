@@ -213,9 +213,6 @@ type walker struct {
 	// exprs/dists memoize compilation per distinct source string.
 	exprs map[string]*expr.Compiled
 	dists map[string]*expr.Dist
-	// flowIdx caches one dense flow index per diagram for convergence
-	// queries (fork joins and weighted-branch merges).
-	flowIdx map[*uml.Diagram]*uml.FlowIndex
 	// profiles memoizes one read/write summary per diagram for the
 	// loop-invariance collapse; fnVars is the lazy union of free
 	// variables over every model-defined function body.
@@ -371,18 +368,6 @@ func (w *walker) parseDist(src string) (*expr.Dist, bool) {
 	return d, ok
 }
 
-func (w *walker) convergence(d *uml.Diagram, heads []string) uml.Node {
-	if w.flowIdx == nil {
-		w.flowIdx = map[*uml.Diagram]*uml.FlowIndex{}
-	}
-	ix, ok := w.flowIdx[d]
-	if !ok {
-		ix = uml.NewFlowIndex(d)
-		w.flowIdx[d] = ix
-	}
-	return ix.Convergence(heads)
-}
-
 func (w *walker) assign(name string, val float64) error {
 	if w.frozen > 0 {
 		return fmt.Errorf("analytic: assignment to %q inside a weighted branch is not closed-form", name)
@@ -536,8 +521,8 @@ func (w *walker) branch(d *uml.Diagram, n *uml.ControlNode) (moments, uml.Node, 
 }
 
 // weighted solves a probabilistic decision as a mixture: each branch is
-// walked to the convergence node of all branch heads, and the mixture
-// moments are mean = Σ pᵢ·mᵢ and Var = Σ pᵢ·(vᵢ+mᵢ²) − mean². Branches
+// walked up to the decision's convergence node (uml.Diagram.Convergence;
+// the end of the flow when it has none), and the mixture moments are mean = Σ pᵢ·mᵢ and Var = Σ pᵢ·(vᵢ+mᵢ²) − mean². Branches
 // must not mutate model state (assignments are frozen), so the walk
 // continues from the convergence in a state independent of the branch
 // taken.
@@ -550,11 +535,7 @@ func (w *walker) weighted(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge) (
 		totalW += e.Weight
 	}
 	w.stochastic = true
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := w.convergence(d, heads)
+	conv := d.Convergence(n)
 	var mean, e2 float64
 	w.frozen++
 	for _, e := range out {
@@ -580,7 +561,7 @@ func (w *walker) weighted(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge) (
 	return moments{mean: mean, varv: varv}, conv, nil
 }
 
-// fork walks each branch to the common convergence node and sums the
+// fork walks each branch to the fork's convergence node and sums the
 // branch moments: on a single processor the parallel branches serialize,
 // so elapsed time at the join equals the total compute regardless of
 // interleaving. Returns the node to continue from after the convergence.
@@ -589,11 +570,7 @@ func (w *walker) fork(d *uml.Diagram, n *uml.ControlNode) (moments, uml.Node, er
 	if len(out) < 2 {
 		return moments{}, nil, fmt.Errorf("analytic: diagram %q: fork %q has %d branch(es)", d.Name(), n.Name(), len(out))
 	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := w.convergence(d, heads)
+	conv := d.Convergence(n)
 	var total moments
 	for _, e := range out {
 		head := d.Node(e.To())

@@ -8,6 +8,7 @@ import (
 	"prophet/internal/analytic"
 	"prophet/internal/builder"
 	"prophet/internal/interp"
+	"prophet/internal/lower"
 	"prophet/internal/machine"
 	"prophet/internal/samples"
 	"prophet/internal/uml"
@@ -124,6 +125,61 @@ func TestWeightedDecisionMixture(t *testing.T) {
 	}
 	if want := 0.75; !near(res.Variance, want) {
 		t.Errorf("variance = %v, want %v", res.Variance, want)
+	}
+}
+
+// TestWeightedEarlyExitMatchesLowered solves a weighted decision whose
+// second arm can leave through the final node before the arms meet at M.
+// D closes at the final node, so C counts only on the paths that reach
+// M, and the mean must match the lowered backend's Monte Carlo mean.
+func TestWeightedEarlyExitMatchesLowered(t *testing.T) {
+	b := builder.New("weighted-early-exit")
+	d := b.Diagram("main")
+	d.Initial()
+	d.Decision("D")
+	d.Decision("D2")
+	d.Action("A").Cost("1")
+	d.Action("B").Cost("2")
+	d.Merge("M")
+	d.Action("C").Cost("4")
+	d.Final()
+	d.Flow("initial", "D").
+		FlowWeighted("D", "A", 0.5).FlowWeighted("D", "B", 0.5).
+		Chain("A", "M").Chain("B", "D2").
+		FlowWeighted("D2", "final", 0.5).FlowWeighted("D2", "M", 0.5).
+		Chain("M", "C", "final")
+	m := builder.MustBuild(b)
+
+	res, err := analytic.Solve(m, analytic.Config{})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	// Paths A·C (p=1/2, 5), B (p=1/4, 2) and B·C (p=1/4, 6).
+	if want := 4.5; !near(res.Mean, want) {
+		t.Errorf("mean = %v, want %v", res.Mean, want)
+	}
+	if want := 2.25; !near(res.Variance, want) {
+		t.Errorf("variance = %v, want %v", res.Variance, want)
+	}
+
+	pr, err := interp.Compile(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := lower.Lower(pr)
+	const runs = 2000
+	var sum float64
+	for seed := int64(1); seed <= runs; seed++ {
+		r, err := prog.Run(interp.Config{Seed: seed, NoTrace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum += r.Makespan
+	}
+	// Six standard errors: 0.2 here, a tenth of the error of closing D at
+	// M, which charges C after the decision on every path (mean 6.5).
+	if mc, tol := sum/runs, 6*math.Sqrt(res.Variance/runs); math.Abs(mc-res.Mean) > tol {
+		t.Errorf("lowered Monte Carlo mean %v, analytic %v (tol %v)", mc, res.Mean, tol)
 	}
 }
 

@@ -235,43 +235,44 @@ var allRules = []rule{
 		},
 	},
 	{
+		// A fork with no convergence node whose branches still meet would
+		// run the flow after the meeting point once per branch: every
+		// backend runs each branch to its convergence node, or to the end
+		// of the flow when there is none.
+		name:            "fork-closes",
+		doc:             "branches of a fork that meet close where every path from the fork passes",
+		defaultSeverity: Error,
+		visit: func(ctx *ruleContext) ruleVisitor {
+			return ruleVisitor{
+				node: func(d *uml.Diagram, n uml.Node) {
+					if n.Kind() != uml.KindFork || d.Convergence(n) != nil {
+						return
+					}
+					if meet := branchesMeet(d, n); meet != nil {
+						ctx.add(n, "fork %q has branches that meet at %q, but not every path from the fork passes through it",
+							n.Name(), meet.Name())
+					}
+				},
+			}
+		},
+	},
+	{
 		name:            "reachable",
 		doc:             "every node is reachable from its diagram's initial node",
 		defaultSeverity: Warning,
 		visit: func(ctx *ruleContext) ruleVisitor {
-			// One seen set and one stack serve every diagram; marked lists
-			// the ids seen in the current diagram, so clearing costs what
-			// the diagram's search did.
-			seen := map[string]bool{}
-			var stack, marked []string
 			return ruleVisitor{
 				leaveDiagram: func(d *uml.Diagram) {
 					ini := d.Initial()
 					if ini == nil {
 						return // single-initial already reports this
 					}
-					stack = append(stack[:0], ini.ID())
-					for len(stack) > 0 {
-						id := stack[len(stack)-1]
-						stack = stack[:len(stack)-1]
-						if seen[id] {
-							continue
-						}
-						seen[id] = true
-						marked = append(marked, id)
-						for _, e := range d.Outgoing(id) {
-							stack = append(stack, e.To())
-						}
-					}
-					for _, n := range d.Nodes() {
-						if !seen[n.ID()] {
+					seen := d.Reachable(ini)
+					for i, n := range d.Nodes() {
+						if !seen[i] {
 							ctx.add(n, "node %q is unreachable from the initial node", n.Name())
 						}
 					}
-					for _, id := range marked {
-						delete(seen, id)
-					}
-					marked = marked[:0]
 				},
 			}
 		},
@@ -551,7 +552,7 @@ var allRules = []rule{
 		doc:             "performance modeling elements have unique non-empty names (they become C++ identifiers)",
 		defaultSeverity: Error,
 		visit: func(ctx *ruleContext) ruleVisitor {
-			seen := map[string]uml.Element{}
+			seen := make(map[string]uml.Element, ctx.model.Stats().Nodes)
 			return ruleVisitor{
 				node: func(d *uml.Diagram, n uml.Node) {
 					if !ctx.registry.IsPerformanceElement(n) {
@@ -614,4 +615,22 @@ var allRules = []rule{
 			}
 		},
 	},
+}
+
+// branchesMeet returns a node that two branches of fork n both reach, or
+// nil when the branches are disjoint: of the first branch that meets an
+// earlier one, the first shared node in position order.
+func branchesMeet(d *uml.Diagram, n uml.Node) uml.Node {
+	seen := make([]bool, len(d.Nodes())) // reached by an earlier branch
+	for _, e := range d.Outgoing(n.ID()) {
+		if head := d.Node(e.To()); head != nil {
+			for i, r := range d.Reachable(head) {
+				if r && seen[i] {
+					return d.Nodes()[i]
+				}
+				seen[i] = seen[i] || r
+			}
+		}
+	}
+	return nil
 }

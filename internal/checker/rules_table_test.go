@@ -152,6 +152,38 @@ func TestEveryRuleFires(t *testing.T) {
 			},
 		},
 		{
+			// Branch B can leave through its own final node before the
+			// branches meet at J, so J does not close the fork.
+			rule:     "fork-closes",
+			severity: Error,
+			message:  `fork "F" has branches that meet at "J", but not every path from the fork passes through it`,
+			build: func() *uml.Model {
+				m := uml.NewModel("m")
+				d, _ := m.AddDiagram("main")
+				ini, _ := m.AddControl(d, "", uml.KindInitial)
+				f, _ := m.AddControl(d, "", uml.KindFork)
+				f.SetName("F")
+				a := mustAction(t, m, d, "A")
+				b := mustAction(t, m, d, "B")
+				dec, _ := m.AddControl(d, "", uml.KindDecision)
+				j, _ := m.AddControl(d, "", uml.KindJoin)
+				j.SetName("J")
+				out, _ := m.AddControl(d, "", uml.KindFinal)
+				fin, _ := m.AddControl(d, "", uml.KindFinal)
+				d.Connect(ini.ID(), f.ID(), "")
+				d.Connect(f.ID(), a.ID(), "")
+				d.Connect(f.ID(), b.ID(), "")
+				d.Connect(a.ID(), j.ID(), "")
+				d.Connect(b.ID(), dec.ID(), "")
+				e1, _ := d.Connect(dec.ID(), out.ID(), "")
+				e1.Weight = 0.5
+				e2, _ := d.Connect(dec.ID(), j.ID(), "")
+				e2.Weight = 0.5
+				d.Connect(j.ID(), fin.ID(), "")
+				return m
+			},
+		},
+		{
 			rule:     "reachable",
 			severity: Warning,
 			message:  `node "Orphan" is unreachable from the initial node`,

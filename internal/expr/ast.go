@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 )
@@ -53,24 +52,52 @@ func (n *Call) String() string {
 	return n.Name + "(" + strings.Join(args, ", ") + ")"
 }
 
-func (n *Unary) String() string { return n.Op + paren(n.X) }
+func (n *Unary) String() string { return n.Op + operand(n.X, 5) }
 
+// Every binary level is left-associative, so a right operand at the
+// operator's own level needs parentheses and a left one does not.
 func (n *Binary) String() string {
-	return fmt.Sprintf("%s %s %s", paren(n.L), n.Op, paren(n.R))
+	p := binaryPrec(n.Op)
+	return operand(n.L, p) + " " + n.Op + " " + operand(n.R, p+1)
 }
 
+// The condition of c ? a : b is an or-chain; a branch may be a conditional.
 func (n *Cond) String() string {
-	return fmt.Sprintf("%s ? %s : %s", paren(n.C), paren(n.A), paren(n.B))
+	return operand(n.C, 0) + " ? " + n.A.String() + " : " + n.B.String()
 }
 
-// paren wraps composite operands in parentheses so the rendered text
-// re-parses to the same tree regardless of operator precedence.
-func paren(n Node) string {
-	switch n.(type) {
-	case *Num, *Var, *Call:
-		return n.String()
+// binaryPrec is the level of a binary operator, as binaryOp assigns it.
+func binaryPrec(op string) int {
+	switch op {
+	case "||":
+		return 0
+	case "&&":
+		return 1
+	case "+", "-":
+		return 3
+	case "*", "/", "%":
+		return 4
 	}
-	return "(" + n.String() + ")"
+	return 2 // comparisons
+}
+
+// operand renders n where the grammar (see Parse) needs an operand of at
+// least the given level: -1 for a conditional, binaryOp's 0 to 4, 5 for
+// unary. Parentheses go only around an n that binds more loosely, so a
+// normal form is never deeper than its source and stays within MaxDepth.
+// A negative literal prints as a unary minus and binds like one.
+func operand(n Node, level int) string {
+	prec := 5
+	switch x := n.(type) {
+	case *Cond:
+		prec = -1
+	case *Binary:
+		prec = binaryPrec(x.Op)
+	}
+	if prec < level {
+		return "(" + n.String() + ")"
+	}
+	return n.String()
 }
 
 // Vars returns the set of free variable names referenced anywhere in the

@@ -1,21 +1,19 @@
 package expr
 
 // Compiled is a parsed expression (folded, when built by
-// CompileStringFolded) together with its normalized source and its by-name
-// closure: the slot builder run with a layout that leaves every name
-// dynamic, so each variable and function resolves through the Env passed
-// to Eval. The simulator compiles every
-// cost function and guard once before a run; the lowered backend
+// CompileStringFolded) together with its by-name closure: the slot builder
+// run with a layout that leaves every name dynamic, so each variable and
+// function resolves through the Env passed to Eval. The simulator compiles
+// every cost function and guard once before a run; the lowered backend
 // re-resolves the same node against its slot layout (Resolve).
 type Compiled struct {
 	fn   slotted
-	src  string
 	node Node
 }
 
 // Compile builds the by-name closure of a parsed expression.
 func Compile(n Node) *Compiled {
-	return &Compiled{fn: resolveSlots(n, byName), src: n.String(), node: n}
+	return &Compiled{fn: resolveSlots(n, byName), node: n}
 }
 
 // CompileString parses and compiles src.
@@ -42,5 +40,5 @@ func CompileStringFolded(src string) (*Compiled, error) {
 // evaluation it allocates only the argument list of each function call.
 func (c *Compiled) Eval(env Env) (float64, error) { return c.fn(nil, env) }
 
-// String returns the normalized source of the compiled expression.
-func (c *Compiled) String() string { return c.src }
+// String renders the normalized source of the compiled expression.
+func (c *Compiled) String() string { return c.node.String() }

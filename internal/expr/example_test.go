@@ -56,5 +56,5 @@ func ExampleNewLibrary() {
 func ExampleFold() {
 	n := expr.MustParse("8 * 1024 * n + pow(2, 10)")
 	fmt.Println(expr.Fold(n))
-	// Output: (8192 * n) + 1024
+	// Output: 8192 * n + 1024
 }

@@ -1,5 +1,7 @@
 package expr
 
+import "math"
+
 // Fold performs constant folding: subtrees whose value does not depend on
 // the environment are evaluated once at compile time. Model expressions
 // are full of literal arithmetic (`8 * n`, `1024 * 1024`, guard constants)
@@ -17,8 +19,13 @@ func Fold(n Node) Node {
 	return folded
 }
 
-// constValue evaluates a subtree whose operands are all constants.
-func constValue(n Node) (float64, error) { return resolveSlots(n, byName)(nil, Builtins) }
+// constValue evaluates a subtree whose operands are all constants. ok is
+// false when evaluation fails or the value is not finite: an infinity or
+// NaN has no literal, so its subtree stays as written.
+func constValue(n Node) (v float64, ok bool) {
+	v, err := resolveSlots(n, byName)(nil, Builtins)
+	return v, err == nil && !math.IsInf(v, 0) && !math.IsNaN(v)
+}
 
 // fold returns the folded node and whether it is a constant.
 func fold(n Node) (Node, bool) {
@@ -39,7 +46,7 @@ func fold(n Node) (Node, bool) {
 		// Builtins are pure; user functions may be redefined per model,
 		// so only builtins fold.
 		if allConst && IsBuiltin(x.Name) {
-			if v, err := constValue(out); err == nil {
+			if v, ok := constValue(out); ok {
 				return &Num{Value: v}, true
 			}
 		}
@@ -48,7 +55,7 @@ func fold(n Node) (Node, bool) {
 		fx, c := fold(x.X)
 		out := &Unary{Op: x.Op, X: fx}
 		if c {
-			if v, err := constValue(out); err == nil {
+			if v, ok := constValue(out); ok {
 				return &Num{Value: v}, true
 			}
 		}
@@ -85,14 +92,14 @@ func fold(n Node) (Node, bool) {
 			// division-by-zero error surfaces at eval time, not silently
 			// at fold time.
 			if cl && cr && fr.(*Num).Value != 0 {
-				if v, err := constValue(out); err == nil {
+				if v, ok := constValue(out); ok {
 					return &Num{Value: v}, true
 				}
 			}
 			return out, false
 		}
 		if cl && cr {
-			if v, err := constValue(out); err == nil {
+			if v, ok := constValue(out); ok {
 				return &Num{Value: v}, true
 			}
 		}

@@ -57,7 +57,7 @@ func TestFoldPreservesErrors(t *testing.T) {
 
 func TestFoldVariablesUntouched(t *testing.T) {
 	n := Fold(MustParse("a * b + c"))
-	if got := n.String(); got != "(a * b) + c" {
+	if got := n.String(); got != "a * b + c" {
 		t.Errorf("variable expression altered: %q", got)
 	}
 }

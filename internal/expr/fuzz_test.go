@@ -1,6 +1,9 @@
 package expr
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // FuzzParse hardens the lexer/parser against arbitrary input: it must
 // never panic, and when it accepts an input, the rendered normal form
@@ -19,6 +22,12 @@ func FuzzParse(f *testing.F) {
 		"())(",
 		"\x00\xff",
 		"𝛼 + 1",
+		// Accepted inputs at MaxDepth whose normal form once nested deeper
+		// than the input: a 1,000-term sum and a long prefix chain.
+		strings.Repeat("1+", MaxDepth-1) + "1",
+		strings.Repeat("-", 706) + strings.Repeat("!", 9) + "A",
+		// Folds to +Inf, which has no literal: the subtree stays unfolded.
+		"1e308*10",
 	} {
 		f.Add(seed)
 	}

@@ -9,7 +9,8 @@ import (
 func TestParseValid(t *testing.T) {
 	cases := []struct {
 		src  string
-		want string // normalized String() form
+		want string // normalized String() form: the fewest parentheses
+		// that keep the tree, so it also pins precedence and associativity
 	}{
 		{"1", "1"},
 		{"1.5", "1.5"},
@@ -19,13 +20,17 @@ func TestParseValid(t *testing.T) {
 		{"_under", "_under"},
 		{"x1y2", "x1y2"},
 		{"1+2", "1 + 2"},
-		{"1+2*3", "1 + (2 * 3)"},
+		{"1+2*3", "1 + 2 * 3"},
 		{"(1+2)*3", "(1 + 2) * 3"},
 		{"-x", "-x"},
-		{"--x", "-(-x)"},
+		{"--x", "--x"},
 		{"!x", "!x"},
-		{"a-b-c", "(a - b) - c"}, // left associative
-		{"a/b/c", "(a / b) / c"},
+		{"a-b-c", "a - b - c"}, // left associative
+		{"a-(b-c)", "a - (b - c)"},
+		{"((a-b))-c", "a - b - c"},
+		{"a/b/c", "a / b / c"},
+		{"-(a+b)", "-(a + b)"},
+		{"!(a && b)", "!(a && b)"},
 		{"a%b", "a % b"},
 		{"f()", "f()"},
 		{"f(1)", "f(1)"},
@@ -39,12 +44,17 @@ func TestParseValid(t *testing.T) {
 		{"a != b", "a != b"},
 		{"a >= b", "a >= b"},
 		{"GV > 0", "GV > 0"},
-		{"a && b || c", "(a && b) || c"},
-		{"!a && b", "(!a) && b"},
-		{"a<b && c>d", "(a < b) && (c > d)"},
+		{"a && b || c", "a && b || c"},
+		{"a && (b || c)", "a && (b || c)"},
+		{"!a && b", "!a && b"},
+		{"a<b && c>d", "a < b && c > d"},
+		{"a < (b < c)", "a < (b < c)"},
 		{"a ? b : c", "a ? b : c"},
-		{"a ? b : c ? d : e", "a ? b : (c ? d : e)"}, // right associative
-		{"a+b ? c*d : e-f", "(a + b) ? (c * d) : (e - f)"},
+		{"a ? b : c ? d : e", "a ? b : c ? d : e"}, // right associative
+		{"(a ? b : c) ? d : e", "(a ? b : c) ? d : e"},
+		{"a ? (b ? c : d) : e", "a ? b ? c : d : e"},
+		{"1 + (a ? b : c)", "1 + (a ? b : c)"},
+		{"a+b ? c*d : e-f", "a + b ? c * d : e - f"},
 		{"  1 +\t2 \n", "1 + 2"},
 	}
 	for _, c := range cases {

@@ -60,22 +60,18 @@ func byName(string) SlotRule { return SlotRule{Kind: SlotDynamic} }
 // Slotted is a compiled expression whose variable references have been
 // pre-resolved to slot indices. Produced by Compiled.Resolve.
 type Slotted struct {
-	fn  slotted
-	src string
+	fn slotted
 }
 
 // Resolve re-lowers the compiled expression against a slot layout: rule
 // maps each free variable name to its slot. The returned Slotted
 // evaluates with zero map lookups for slot-mapped names.
 func (c *Compiled) Resolve(rule func(name string) SlotRule) *Slotted {
-	return &Slotted{fn: resolveSlots(c.node, rule), src: c.src}
+	return &Slotted{fn: resolveSlots(c.node, rule)}
 }
 
 // Eval evaluates the slot-resolved expression against the frame.
 func (s *Slotted) Eval(se *SlotEnv) (float64, error) { return s.fn(se, se.Fallback) }
-
-// String returns the normalized source of the expression.
-func (s *Slotted) String() string { return s.src }
 
 func fallbackVar(env Env, name string) (float64, error) {
 	if env != nil {

@@ -473,11 +473,7 @@ func (fc *flowCtx) fork(d *uml.Diagram, n *uml.ControlNode) (uml.Node, error) {
 	if len(out) < 2 {
 		return nil, fmt.Errorf("interp: diagram %q: fork %q has %d branch(es)", d.Name(), n.Name(), len(out))
 	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := uml.Convergence(d, heads)
+	conv := d.Convergence(n)
 	join := fc.rs.eng.NewCounter("join:"+n.ID(), len(out))
 	var firstErr error
 	for i, e := range out {

@@ -50,16 +50,22 @@ func addForky(b *builder.ModelBuilder) {
 		Flow("lmeet", "final")
 }
 
-// retarget points e at a node ID the diagram does not have. The uml API
+// retarget points e at a node ID the diagram does not have, and drops the
+// diagram's derived flow graph, as every uml edit does. The uml API
 // refuses such edges, but the runtimes still guard against them, and this
 // is the only way to reach that guard.
 func retarget(t *testing.T, e *uml.Edge, to string) {
 	t.Helper()
-	f := reflect.ValueOf(e).Elem().FieldByName("to")
-	if !f.IsValid() {
-		t.Fatal("uml.Edge has no field \"to\"")
+	field := func(v reflect.Value, name string) reflect.Value {
+		f := v.Elem().FieldByName(name)
+		if !f.IsValid() {
+			t.Fatalf("%s has no field %q", v.Type(), name)
+		}
+		return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 	}
-	reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetString(to)
+	field(reflect.ValueOf(e), "to").SetString(to)
+	flow := field(reflect.ValueOf(e.Diagram()), "flow")
+	flow.Set(reflect.Zero(flow.Type()))
 }
 
 // danglingNestedForkModel forks Lead and Busy. Lead's inner fork spawns

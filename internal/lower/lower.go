@@ -199,23 +199,6 @@ type lowerer struct {
 
 	// resolvedDist is the same memo for distribution literals.
 	resolvedDist map[*expr.Dist]*expr.SlotDist
-
-	// flowIdx caches one dense flow index per diagram for fork
-	// convergence queries (see uml.FlowIndex).
-	flowIdx map[*uml.Diagram]*uml.FlowIndex
-}
-
-// convergence answers a convergence query through the per-diagram index.
-func (l *lowerer) convergence(d *uml.Diagram, heads []string) uml.Node {
-	if l.flowIdx == nil {
-		l.flowIdx = map[*uml.Diagram]*uml.FlowIndex{}
-	}
-	ix, ok := l.flowIdx[d]
-	if !ok {
-		ix = uml.NewFlowIndex(d)
-		l.flowIdx[d] = ix
-	}
-	return ix.Convergence(heads)
 }
 
 // regionKey memoizes fork-branch segments so cyclic flows that re-reach a
@@ -614,11 +597,7 @@ func (b *segBuilder) lowerFork(n *uml.ControlNode) int {
 			"lower: diagram %q: fork %q has %d branch(es)", b.d.Name(), n.Name(), len(out))}
 		return pc
 	}
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := b.l.convergence(b.d, heads)
+	conv := b.d.Convergence(n)
 	stop := ""
 	if conv != nil {
 		stop = conv.ID()

@@ -108,8 +108,8 @@ func (m *Model) Preallocate(h SizeHint) {
 // populated. Like Preallocate, undercounting is safe.
 func (d *Diagram) Reserve(nodes, edges int) {
 	if nodes > 0 {
-		if d.nodesByID == nil {
-			d.nodesByID = make(map[string]Node, nodes)
+		if d.pos == nil {
+			d.pos = make(map[string]int32, nodes)
 		}
 		if free := cap(d.nodes) - len(d.nodes); free < nodes {
 			grown := make([]Node, len(d.nodes), len(d.nodes)+nodes)
@@ -118,10 +118,6 @@ func (d *Diagram) Reserve(nodes, edges int) {
 		}
 	}
 	if edges > 0 {
-		if d.outgoing == nil {
-			d.outgoing = make(map[string][]*Edge, nodes)
-			d.incoming = make(map[string][]*Edge, nodes)
-		}
 		if free := cap(d.edges) - len(d.edges); free < edges {
 			grown := make([]*Edge, len(d.edges), len(d.edges)+edges)
 			copy(grown, d.edges)

@@ -3,6 +3,7 @@ package uml
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 )
 
 // Diagram is a UML activity diagram: an ordered collection of nodes and
@@ -15,9 +16,16 @@ type Diagram struct {
 	nodes []Node
 	edges []*Edge
 
-	nodesByID map[string]Node
-	outgoing  map[string][]*Edge
-	incoming  map[string][]*Edge
+	// pos maps a node ID to the node's dense position, its index in
+	// nodes; out and in hold the edges leaving and entering each
+	// position, in insertion order.
+	pos map[string]int32
+	out [][]*Edge
+	in  [][]*Edge
+
+	// flow is the derived flow graph (flow.go), built on first use and
+	// dropped by every change to the nodes or edges.
+	flow atomic.Pointer[flowGraph]
 }
 
 // Model returns the owning model.
@@ -43,11 +51,14 @@ func (d *Diagram) addNode(n Node) error {
 		}
 		d.model.byID[id] = n
 	}
-	if d.nodesByID == nil {
-		d.nodesByID = make(map[string]Node)
+	if d.pos == nil {
+		d.pos = make(map[string]int32)
 	}
-	d.nodesByID[id] = n
+	d.pos[id] = int32(len(d.nodes))
 	d.nodes = append(d.nodes, n)
+	d.out = append(d.out, nil)
+	d.in = append(d.in, nil)
+	d.flow.Store(nil)
 	n.setDiagram(d)
 	n.setOwner(d)
 	return nil
@@ -55,7 +66,10 @@ func (d *Diagram) addNode(n Node) error {
 
 // Node returns the node with the given ID, or nil if the diagram has none.
 func (d *Diagram) Node(id string) Node {
-	return d.nodesByID[id]
+	if p, ok := d.pos[id]; ok {
+		return d.nodes[p]
+	}
+	return nil
 }
 
 // NodeByName returns the first node with the given name, or nil.
@@ -71,12 +85,12 @@ func (d *Diagram) NodeByName(name string) Node {
 // Connect adds a control-flow edge from one node to another, identified by
 // ID. An empty guard means the edge is unconditional.
 func (d *Diagram) Connect(fromID, toID, guard string) (*Edge, error) {
-	from := d.Node(fromID)
-	if from == nil {
+	from, ok := d.pos[fromID]
+	if !ok {
 		return nil, fmt.Errorf("uml: diagram %q: edge source %q not found", d.Name(), fromID)
 	}
-	to := d.Node(toID)
-	if to == nil {
+	to, ok := d.pos[toID]
+	if !ok {
 		return nil, fmt.Errorf("uml: diagram %q: edge target %q not found", d.Name(), toID)
 	}
 	id := d.ID() + ".e" + strconv.Itoa(len(d.edges)+1)
@@ -93,12 +107,9 @@ func (d *Diagram) Connect(fromID, toID, guard string) (*Edge, error) {
 	e.diagram = d
 	e.setOwner(d)
 	d.edges = append(d.edges, e)
-	if d.outgoing == nil {
-		d.outgoing = make(map[string][]*Edge)
-		d.incoming = make(map[string][]*Edge)
-	}
-	d.outgoing[fromID] = append(d.outgoing[fromID], e)
-	d.incoming[toID] = append(d.incoming[toID], e)
+	d.out[from] = append(d.out[from], e)
+	d.in[to] = append(d.in[to], e)
+	d.flow.Store(nil)
 	if d.model != nil {
 		d.model.byID[id] = e
 	}
@@ -107,11 +118,21 @@ func (d *Diagram) Connect(fromID, toID, guard string) (*Edge, error) {
 
 // Outgoing returns the edges leaving the node with the given ID, in
 // insertion order.
-func (d *Diagram) Outgoing(nodeID string) []*Edge { return d.outgoing[nodeID] }
+func (d *Diagram) Outgoing(nodeID string) []*Edge {
+	if p, ok := d.pos[nodeID]; ok {
+		return d.out[p]
+	}
+	return nil
+}
 
 // Incoming returns the edges entering the node with the given ID, in
 // insertion order.
-func (d *Diagram) Incoming(nodeID string) []*Edge { return d.incoming[nodeID] }
+func (d *Diagram) Incoming(nodeID string) []*Edge {
+	if p, ok := d.pos[nodeID]; ok {
+		return d.in[p]
+	}
+	return nil
+}
 
 // Initial returns the diagram's initial node, or nil when absent.
 func (d *Diagram) Initial() Node {

@@ -36,7 +36,7 @@ func (e *FlowError) Error() string { return e.msg }
 // Region is one node of a diagram's structured-flow tree: the control flow
 // reconstructed from raw edges as nested sequences, decisions and forks,
 // each closed at the node where its branches converge
-// (FlowIndex.Convergence). A consumer that emits structured code folds
+// (Diagram.Convergence). A consumer that emits structured code folds
 // the tree in order; the first Err region it meets is the first defect a
 // walk of the flow runs into, after everything the walk would have visited
 // before it.
@@ -68,8 +68,7 @@ func (d *Diagram) Regions() Region {
 		}
 		return root
 	}
-	b := regionBuilder{d: d, ix: NewFlowIndex(d)}
-	b.onPath = make([]bool, len(b.ix.nodes))
+	b := regionBuilder{d: d, onPath: make([]bool, len(d.nodes))}
 	start, err := b.successor(ini)
 	if err != nil {
 		root.fail(err)
@@ -87,7 +86,6 @@ func (r *Region) fail(err *FlowError) { r.Items = append(r.Items, Region{Kind: R
 // appear on several alternative branches.
 type regionBuilder struct {
 	d      *Diagram
-	ix     *FlowIndex
 	onPath []bool
 	marked []int32
 }
@@ -100,7 +98,7 @@ func (b *regionBuilder) errorf(format string, args ...interface{}) *FlowError {
 // node or the first defect.
 func (b *regionBuilder) seq(r *Region, cur, stop Node) {
 	for cur != nil && cur != stop {
-		p := b.ix.idx[cur.ID()]
+		p := b.d.pos[cur.ID()]
 		if b.onPath[p] {
 			err := b.errorf("unstructured cycle through node %q", cur.Name())
 			err.Cycle = true
@@ -191,11 +189,7 @@ func (b *regionBuilder) split(parent *Region, n *ControlNode) (Node, *FlowError)
 		}
 	}
 
-	heads := make([]string, len(out))
-	for i, e := range out {
-		heads[i] = e.To()
-	}
-	conv := b.ix.Convergence(heads)
+	conv := b.d.Convergence(n)
 	r.Arms = make([]Arm, 0, len(out))
 	for _, e := range out {
 		if e != elseEdge {

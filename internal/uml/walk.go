@@ -57,55 +57,6 @@ func Activities(m *Model) []*ActivityNode {
 	return out
 }
 
-// Convergence finds the node where several forward paths meet again: the
-// first node, in breadth-first order from the first head, that is
-// reachable from every head. It returns nil when the paths never converge
-// (e.g. all branches run to distinct final nodes). Both the C++ generator
-// (to close if/else and fork/join regions) and the model interpreter (to
-// find the join of a fork) rely on this.
-func Convergence(d *Diagram, heads []string) Node {
-	if len(heads) == 0 {
-		return nil
-	}
-	reach := func(start string) ([]string, map[string]bool) {
-		var order []string
-		seen := map[string]bool{}
-		queue := []string{start}
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			order = append(order, id)
-			for _, e := range d.Outgoing(id) {
-				queue = append(queue, e.To())
-			}
-		}
-		return order, seen
-	}
-	firstOrder, _ := reach(heads[0])
-	sets := make([]map[string]bool, 0, len(heads)-1)
-	for _, h := range heads[1:] {
-		_, s := reach(h)
-		sets = append(sets, s)
-	}
-	for _, id := range firstOrder {
-		common := true
-		for _, s := range sets {
-			if !s[id] {
-				common = false
-				break
-			}
-		}
-		if common {
-			return d.Node(id)
-		}
-	}
-	return nil
-}
-
 // ElementsWithStereotype returns every element in the model carrying the
 // given stereotype, in walk order. This is the selection criterion of the
 // transformation algorithm's first phase (paper, Figure 5 lines 1-8:

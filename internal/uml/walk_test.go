@@ -136,27 +136,33 @@ func TestActionsAndActivities(t *testing.T) {
 func TestConvergence(t *testing.T) {
 	m := buildSampleModel(t)
 	d := m.Main()
-	dec := d.NodeByName("DecisionNode")
-	if dec == nil {
-		// control nodes are named by kind
-		for _, n := range d.Nodes() {
-			if n.Kind() == KindDecision {
-				dec = n
-			}
+	var dec Node
+	for _, n := range d.Nodes() {
+		if n.Kind() == KindDecision {
+			dec = n
 		}
 	}
-	out := d.Outgoing(dec.ID())
-	heads := []string{out[0].To(), out[1].To()}
-	conv := Convergence(d, heads)
+	conv := d.Convergence(dec)
 	if conv == nil || conv.Kind() != KindMerge {
 		t.Fatalf("branches of the sample decision converge at the merge, got %v", conv)
 	}
-	// Degenerate inputs.
-	if Convergence(d, nil) != nil {
-		t.Error("no heads -> no convergence")
+	if ref := BFSConvergence(d, BranchHeads(d, dec)); ref != conv {
+		t.Errorf("reference search disagrees: %v", ref)
 	}
-	if got := Convergence(d, []string{heads[0]}); got == nil || got.ID() != heads[0] {
-		t.Error("single head converges at itself")
+	// A node with one successor closes at that successor; a node of
+	// another diagram closes nowhere here.
+	a1 := d.NodeByName("A1")
+	if got := d.Convergence(a1); got != dec {
+		t.Errorf("single successor: got %v, want the decision", got)
+	}
+	if got := d.Convergence(m.DiagramByName("SA").NodeByName("SA1")); got != nil {
+		t.Errorf("foreign node: got %v, want nil", got)
+	}
+	// A final node closes only at the end of the flow.
+	for _, fin := range d.Finals() {
+		if got := d.Convergence(fin); got != nil {
+			t.Errorf("final node: got %v, want nil", got)
+		}
 	}
 }
 
@@ -172,17 +178,21 @@ func TestConvergenceNonConverging(t *testing.T) {
 	d.Connect(dec.ID(), b.ID(), "else")
 	d.Connect(a.ID(), fa.ID(), "")
 	d.Connect(b.ID(), fb.ID(), "")
-	if got := Convergence(d, []string{a.ID(), b.ID()}); got != nil {
+	if got := d.Convergence(dec); got != nil {
 		t.Errorf("distinct finals should not converge, got %v", got.ID())
+	}
+	if got := BFSConvergence(d, BranchHeads(d, dec)); got != nil {
+		t.Errorf("reference search: distinct finals should not converge, got %v", got.ID())
 	}
 }
 
 func TestConvergenceNested(t *testing.T) {
 	// Outer decision whose true-branch contains an inner decision; both
-	// inner arms rejoin before the outer merge. Convergence from the
-	// outer heads must be the outer merge, not the inner one.
+	// inner arms rejoin before the outer merge. The outer decision must
+	// close at the outer merge, not the inner one.
 	m := NewModel("m")
 	d, _ := m.AddDiagram("main")
+	ini, _ := m.AddControl(d, "", KindInitial)
 	outer, _ := m.AddControl(d, "", KindDecision)
 	inner, _ := m.AddControl(d, "", KindDecision)
 	x, _ := m.AddAction(d, "", "X")
@@ -191,6 +201,7 @@ func TestConvergenceNested(t *testing.T) {
 	elseAct, _ := m.AddAction(d, "", "E")
 	outerMerge, _ := m.AddControl(d, "", KindMerge)
 	fin, _ := m.AddControl(d, "", KindFinal)
+	d.Connect(ini.ID(), outer.ID(), "")
 	d.Connect(outer.ID(), inner.ID(), "a > 0")
 	d.Connect(outer.ID(), elseAct.ID(), "else")
 	d.Connect(inner.ID(), x.ID(), "b > 0")
@@ -199,14 +210,20 @@ func TestConvergenceNested(t *testing.T) {
 	d.Connect(y.ID(), innerMerge.ID(), "")
 	d.Connect(innerMerge.ID(), outerMerge.ID(), "")
 	d.Connect(elseAct.ID(), outerMerge.ID(), "")
-	d.Connect(outerMerge.ID(), fin.ID(), "")
-	got := Convergence(d, []string{inner.ID(), elseAct.ID()})
-	if got == nil || got.ID() != outerMerge.ID() {
+	if got := d.Convergence(outer); got != outerMerge {
 		t.Errorf("outer convergence = %v, want outer merge %s", got, outerMerge.ID())
 	}
-	gotInner := Convergence(d, []string{x.ID(), y.ID()})
-	if gotInner == nil || gotInner.ID() != innerMerge.ID() {
-		t.Errorf("inner convergence = %v, want inner merge", gotInner)
+	if got := d.Convergence(inner); got != innerMerge {
+		t.Errorf("inner convergence = %v, want inner merge", got)
+	}
+	if got := d.Convergence(ini); got != outer {
+		t.Errorf("initial node closes at %v, want the outer decision", got)
+	}
+	// Connect drops the derived graph: once the flow goes on past the
+	// outer merge, the merge closes at what follows it.
+	d.Connect(outerMerge.ID(), fin.ID(), "")
+	if got := d.Convergence(outerMerge); got != fin {
+		t.Errorf("after Connect: merge closes at %v, want the final node", got)
 	}
 }
 
