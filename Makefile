@@ -108,7 +108,8 @@ FUZZTIME ?= 5
 FUZZTIME_LONG = $(shell expr $(FUZZTIME) \* 2)
 
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME)s ./internal/xmi/
+	$(GO) test -fuzz='^FuzzDecode$$' -fuzztime=$(FUZZTIME)s ./internal/xmi/
+	$(GO) test -fuzz='^FuzzDecodeReference$$' -fuzztime=$(FUZZTIME)s ./internal/xmi/
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME)s ./internal/xmi/
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME)s ./internal/expr/
 	$(GO) test -fuzz=FuzzEval -fuzztime=$(FUZZTIME)s ./internal/expr/

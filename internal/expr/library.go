@@ -109,7 +109,7 @@ func (b *boundLibrary) Var(name string) (float64, bool) {
 
 func (b *boundLibrary) Func(name string) (Func, bool) {
 	if f, ok := b.lib.defs[name]; ok {
-		return b.call(f), true
+		return func(args []float64) (float64, error) { return b.invoke(f, args) }, true
 	}
 	if f, ok := Builtins.Func(name); ok {
 		return f, true
@@ -120,25 +120,23 @@ func (b *boundLibrary) Func(name string) (Func, bool) {
 	return nil, false
 }
 
-// call produces the Func that evaluates a user function's body with its
-// parameters bound.
-func (b *boundLibrary) call(f *libFunc) Func {
-	return func(args []float64) (float64, error) {
-		if len(args) != len(f.def.Params) {
-			return 0, fmt.Errorf("expr: %s expects %d argument(s), got %d",
-				f.def.Name, len(f.def.Params), len(args))
-		}
-		if b.depth >= maxCallDepth {
-			return 0, fmt.Errorf("expr: call depth exceeds %d (recursive cost function %q?)",
-				maxCallDepth, f.def.Name)
-		}
-		// The frame is one allocation: the arguments become its locals,
-		// and names without a slot resolve through the library one
-		// level deeper.
-		fr := &callFrame{lib: boundLibrary{lib: b.lib, outer: b.outer, depth: b.depth + 1}}
-		fr.se = SlotEnv{Locals: args, Fallback: &fr.lib}
-		return f.body.Eval(&fr.se)
+// invoke evaluates user function f's body with its parameters bound to
+// args.
+func (b *boundLibrary) invoke(f *libFunc, args []float64) (float64, error) {
+	if len(args) != len(f.def.Params) {
+		return 0, fmt.Errorf("expr: %s expects %d argument(s), got %d",
+			f.def.Name, len(f.def.Params), len(args))
 	}
+	if b.depth >= maxCallDepth {
+		return 0, fmt.Errorf("expr: call depth exceeds %d (recursive cost function %q?)",
+			maxCallDepth, f.def.Name)
+	}
+	// The frame is one allocation: the arguments become its locals,
+	// and names without a slot resolve through the library one
+	// level deeper.
+	fr := &callFrame{lib: boundLibrary{lib: b.lib, outer: b.outer, depth: b.depth + 1}}
+	fr.se = SlotEnv{Locals: args, Fallback: &fr.lib}
+	return f.body.Eval(&fr.se)
 }
 
 // callFrame is the evaluation frame of one user-function call.

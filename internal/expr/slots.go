@@ -46,6 +46,8 @@ type SlotEnv struct {
 	Defined  []bool
 	Globals  []float64
 	Fallback Env
+
+	stack []float64 // argument values of the calls being evaluated
 }
 
 // slotted is the closure form resolveSlots builds. se is the slot frame;
@@ -126,20 +128,43 @@ func resolveSlots(n Node, rule func(string) SlotRule) slotted {
 			args[i] = resolveSlots(a, rule)
 		}
 		return func(se *SlotEnv, env Env) (float64, error) {
-			if env == nil {
+			// A user function of a bound library is invoked directly,
+			// without the closure its Func makes.
+			var (
+				f    Func
+				ok   bool
+				user *libFunc
+			)
+			b, _ := env.(*boundLibrary)
+			if b != nil {
+				user = b.lib.defs[name]
+			}
+			if user == nil && env != nil {
+				f, ok = env.Func(name)
+			}
+			if user == nil && !ok {
 				return 0, &UndefinedError{Kind: "function", Name: name}
 			}
-			f, ok := env.Func(name)
-			if !ok {
-				return 0, &UndefinedError{Kind: "function", Name: name}
+			// The argument values go on the frame's stack (by-name
+			// evaluation, which has no frame, on one of its own), so a
+			// call allocates nothing once the stack has grown.
+			var own []float64
+			stack := &own
+			if se != nil {
+				stack = &se.stack
 			}
-			vals := make([]float64, len(args))
-			for i, a := range args {
+			base := len(*stack)
+			defer func() { *stack = (*stack)[:base] }()
+			for _, a := range args {
 				v, err := a(se, env)
 				if err != nil {
 					return 0, err
 				}
-				vals[i] = v
+				*stack = append(*stack, v)
+			}
+			vals := (*stack)[base:len(*stack):len(*stack)]
+			if user != nil {
+				return b.invoke(user, vals)
 			}
 			return f(vals)
 		}

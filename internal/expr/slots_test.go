@@ -214,3 +214,30 @@ func BenchmarkEvalSlotted(b *testing.B) {
 		}
 	}
 }
+
+// TestCallAllocs pins the cost of a call on the slotted path: a builtin
+// call allocates nothing, a user-function call only its frame.
+func TestCallAllocs(t *testing.T) {
+	lib, err := NewLibrary([]Def{{Name: "F", Params: []string{"a"}, Body: "2*a + 1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := func(string) SlotRule { return SlotRule{Kind: SlotGlobal, Global: 0} }
+	for _, c := range []struct {
+		src       string
+		want      float64
+		maxAllocs float64
+	}{
+		{"sqrt(x) + max(x, 1)", 20, 0},
+		{"F(x)", 33, 1},
+	} {
+		s := Compile(MustParse(c.src)).Resolve(global)
+		se := &SlotEnv{Globals: []float64{16}, Fallback: lib.Bind(nil)}
+		if v, err := s.Eval(se); err != nil || v != c.want {
+			t.Fatalf("%s = %v, %v; want %v", c.src, v, err, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = s.Eval(se) }); n > c.maxAllocs {
+			t.Errorf("%s: %v allocs per call, want at most %v", c.src, n, c.maxAllocs)
+		}
+	}
+}

@@ -36,12 +36,6 @@ import (
 	"prophet/internal/uml"
 )
 
-// assignment is one parsed statement of an element's code fragment.
-type assignment struct {
-	name  string
-	value *expr.Compiled
-}
-
 // Program is a compiled, executable performance model.
 type Program struct {
 	model      *uml.Model
@@ -53,7 +47,7 @@ type Program struct {
 	distCosts  map[string]*expr.Dist                // node ID -> stochastic cost
 	distCounts map[string]*expr.Dist                // loop node ID -> stochastic count
 	tags       map[string]map[string]*expr.Compiled // node ID -> tag -> expr
-	code       map[string][]assignment              // node ID -> effective statements
+	code       map[string][]Assignment              // node ID -> effective statements
 	inits      map[string]*expr.Compiled            // variable name -> initializer
 }
 
@@ -73,7 +67,7 @@ func Compile(m *uml.Model, reg *profile.Registry) (*Program, error) {
 		distCosts:  map[string]*expr.Dist{},
 		distCounts: map[string]*expr.Dist{},
 		tags:       map[string]map[string]*expr.Compiled{},
-		code:       map[string][]assignment{},
+		code:       map[string][]Assignment{},
 		inits:      map[string]*expr.Compiled{},
 	}
 
@@ -256,8 +250,7 @@ func Compile(m *uml.Model, reg *profile.Registry) (*Program, error) {
 // Model returns the model the program was compiled from.
 func (pr *Program) Model() *uml.Model { return pr.model }
 
-// Assignment is one parsed statement of an element's code fragment, as
-// exposed through Parts.
+// Assignment is one parsed statement of an element's code fragment.
 type Assignment struct {
 	Name  string
 	Value *expr.Compiled
@@ -282,14 +275,6 @@ type Parts struct {
 
 // Parts returns the program's compiled constituents.
 func (pr *Program) Parts() Parts {
-	code := make(map[string][]Assignment, len(pr.code))
-	for id, as := range pr.code {
-		out := make([]Assignment, len(as))
-		for i, a := range as {
-			out[i] = Assignment{Name: a.name, Value: a.value}
-		}
-		code[id] = out
-	}
 	return Parts{
 		Model:      pr.model,
 		Lib:        pr.lib,
@@ -299,7 +284,7 @@ func (pr *Program) Parts() Parts {
 		DistCosts:  pr.distCosts,
 		DistCounts: pr.distCounts,
 		Tags:       pr.tags,
-		Code:       code,
+		Code:       pr.code,
 		Inits:      pr.inits,
 	}
 }
@@ -329,11 +314,11 @@ func costSource(costFunc string, e uml.Element) string {
 // newlines. Anything else (Fortran snippets, arbitrary C++) is opaque
 // documentation: it is carried into the generated C++ verbatim but has no
 // effect on the simulation.
-func parseAssignments(code string) []assignment {
+func parseAssignments(code string) []Assignment {
 	if code == "" {
 		return nil
 	}
-	var out []assignment
+	var out []Assignment
 	for _, stmt := range strings.FieldsFunc(code, func(r rune) bool { return r == ';' || r == '\n' }) {
 		stmt = strings.TrimSpace(stmt)
 		if stmt == "" || strings.HasPrefix(stmt, "//") {
@@ -352,7 +337,7 @@ func parseAssignments(code string) []assignment {
 		if err != nil {
 			continue
 		}
-		out = append(out, assignment{name: name, value: c})
+		out = append(out, Assignment{Name: name, Value: c})
 	}
 	return out
 }

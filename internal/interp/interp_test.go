@@ -654,7 +654,7 @@ func TestCompileErrors(t *testing.T) {
 
 func TestParseAssignments(t *testing.T) {
 	as := parseAssignments("GV = 10;\nP = 4;")
-	if len(as) != 2 || as[0].name != "GV" || as[1].name != "P" {
+	if len(as) != 2 || as[0].Name != "GV" || as[1].Name != "P" {
 		t.Errorf("assignments = %+v", as)
 	}
 	// Opaque statements are skipped, not errors.

@@ -508,11 +508,11 @@ func (fc *flowCtx) execAction(n *uml.ActionNode) error {
 	// Associated code fragment runs before execute(), as in the generated
 	// C++ (Figure 8b lines 72-76).
 	for _, a := range fc.rs.pr.code[n.ID()] {
-		v, err := a.value.Eval(fc.env)
+		v, err := a.Value.Eval(fc.env)
 		if err != nil {
 			return fmt.Errorf("interp: code of %q: %w", n.Name(), err)
 		}
-		fc.assign(a.name, v)
+		fc.assign(a.Name, v)
 	}
 	fc.nextUID()
 	fc.emit(trace.Enter, n)
@@ -613,11 +613,11 @@ func (fc *flowCtx) execActivity(n *uml.ActivityNode) error {
 	fc.emit(trace.Enter, n)
 	defer fc.emit(trace.Leave, n)
 	for _, a := range fc.rs.pr.code[n.ID()] {
-		v, err := a.value.Eval(fc.env)
+		v, err := a.Value.Eval(fc.env)
 		if err != nil {
 			return fmt.Errorf("interp: code of %q: %w", n.Name(), err)
 		}
-		fc.assign(a.name, v)
+		fc.assign(a.Name, v)
 	}
 	if v, ok, err := fc.costValue(n.ID()); err != nil {
 		return fmt.Errorf("interp: cost of %q: %w", n.Name(), err)

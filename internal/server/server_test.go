@@ -274,6 +274,43 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRefusedXMI: a document the decoder refuses (a mis-cased attribute,
+// an unknown element) is a 400 on both ways in, and the error repeats at
+// most 64 bytes of the input.
+func TestRefusedXMI(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	long := strings.Repeat("x", 100)
+	const model = `<model name="m"><diagram id="d1" name="main">`
+	cases := []struct{ doc, want string }{
+		{model + `<node id="n1" kind="Action" costFunc="` + long + `"/></diagram></model>`,
+			`unknown attribute "costFunc" on <node>`},
+		{model + `<tpyo` + long + `/></diagram></model>`,
+			`unknown element <tpyo` + long[:60] + `> in <diagram>`},
+	}
+	for _, tc := range cases {
+		for _, req := range []struct{ path, body string }{
+			{"/v1/models", tc.doc},
+			{"/v1/estimate", `{"model_xmi": ` + strconv.Quote(tc.doc) + `}`},
+		} {
+			resp, err := http.Post(ts.URL+req.path, "application/json", strings.NewReader(req.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var er ErrorResponse
+			decodeInto(t, body, &er)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, tc.want) {
+				t.Errorf("%s: status %d, error %q; want 400 with %q", req.path, resp.StatusCode, er.Error, tc.want)
+			}
+			if strings.Contains(er.Error, long[:65]) {
+				t.Errorf("%s: error repeats more than 64 bytes of the input: %q", req.path, er.Error)
+			}
+		}
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()

@@ -1,6 +1,7 @@
 package uml_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -125,7 +126,8 @@ func TestConvergenceMatchesBFS(t *testing.T) {
 
 // TestConvergenceConcurrent queries one diagram from many goroutines
 // before anything has built its flow graph; under -race this checks that
-// the lazily built post-dominator memo is safe to share.
+// the lazily built post-dominator memo, and the reachability from the
+// initial node kept with it, are safe to share.
 func TestConvergenceConcurrent(t *testing.T) {
 	p := modelgen.Params{Seed: 7, Nodes: 600}
 	m, ref := modelgen.MustGenerate(p), modelgen.MustGenerate(p)
@@ -135,6 +137,7 @@ func TestConvergenceConcurrent(t *testing.T) {
 		for j, n := range rd.Nodes() {
 			want[j] = nodeID(rd.Convergence(n))
 		}
+		wantReach := fmt.Sprint(rd.Reachable(rd.Initial()))
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -144,6 +147,9 @@ func TestConvergenceConcurrent(t *testing.T) {
 					if got := nodeID(d.Convergence(n)); got != want[j] {
 						t.Errorf("diagram %q node %q: %s, want %s", d.Name(), n.ID(), got, want[j])
 					}
+				}
+				if got := fmt.Sprint(d.Reachable(d.Initial())); got != wantReach {
+					t.Errorf("diagram %q: reachable %s, want %s", d.Name(), got, wantReach)
 				}
 			}()
 		}

@@ -2,8 +2,9 @@ package uml
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 )
 
 // TaggedValue is a UML tagged value: the value of a tag definition attached
@@ -89,7 +90,7 @@ func (b *base) Tags() []TaggedValue {
 	for k, v := range b.tags {
 		out = append(out, TaggedValue{Name: k, Value: v})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b TaggedValue) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

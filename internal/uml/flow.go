@@ -1,5 +1,7 @@
 package uml
 
+import "sync"
+
 // flowGraph is the flow graph of one diagram in dense form, derived once
 // from its edges and shared by every reader. Position len(nodes) is a
 // virtual exit.
@@ -12,6 +14,10 @@ type flowGraph struct {
 	// no node post-dominates it), or -1 when no path leads from i to the
 	// exit.
 	ipdom []int32
+	// fromInitial is Reachable of the diagram's initial node, computed on
+	// first use: the checker asks for it on every check.
+	initialOnce sync.Once
+	fromInitial []bool
 }
 
 // graph returns the diagram's flow graph, building it on first use.
@@ -45,16 +51,27 @@ func (d *Diagram) Convergence(n Node) Node {
 
 // Reachable reports, per position in Nodes(), whether the node there is
 // reachable from n along the diagram's edges (n itself included). It
-// returns nil for a node the diagram does not hold.
+// returns nil for a node the diagram does not hold. The answer for the
+// initial node is kept with the flow graph and shared: callers must not
+// modify the slice.
 func (d *Diagram) Reachable(n Node) []bool {
 	p, ok := d.pos[n.ID()]
 	if !ok {
 		return nil
 	}
-	succ := d.graph().succ
-	seen := make([]bool, len(d.nodes))
+	g := d.graph()
+	if n != d.Initial() {
+		return reach(g.succ, p)
+	}
+	g.initialOnce.Do(func() { g.fromInitial = reach(g.succ, p) })
+	return g.fromInitial
+}
+
+// reach walks succ from position p.
+func reach(succ [][]int32, p int32) []bool {
+	seen := make([]bool, len(succ))
 	seen[p] = true
-	stack := append(make([]int32, 0, len(d.nodes)), p) // each node is pushed once
+	stack := append(make([]int32, 0, len(succ)), p) // each node is pushed once
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -5,106 +5,81 @@
 // <variable>, <function> and <diagram> elements; diagrams own <node> and
 // <edge> elements; stereotype applications are stored as a stereotype
 // attribute plus nested <tag> elements. Encode and Decode are exact
-// inverses for every well-formed model (see the round-trip tests).
+// inverses for every well-formed model (see the round-trip tests). Decode
+// reads the bytes with one scanner that builds the model as it goes;
+// Encode writes the document straight from the model.
+//
+// # Accepted grammar
+//
+//	document   = [BOM] [xmldecl] (S | comment | PI)* model (S | comment)*
+//	xmldecl    = <?xml version="1.0" [encoding="UTF-8"] [standalone="yes"|"no"]?>
+//	model      = <model name main>           (variable | function | diagram)*
+//	variable   = <variable name type scope init>
+//	function   = <function name type body>   param*
+//	param      = <param name type>
+//	diagram    = <diagram id name>           (node | edge)*
+//	node       = <node id kind name stereotype body count var costfunc>
+//	                                         (code | tag | constraint)*, one code at most
+//	edge       = <edge from to guard weight> (tag | constraint)*
+//	tag        = <tag name value>
+//	code, constraint = text: character data, CDATA sections and comments
+//
+// Attributes are optional, in any order, single- or double-quoted.
+// Children come in any order (an edge may precede the nodes it joins),
+// with white space and comments between them, and an element without
+// children may self-close. Attribute values and character data resolve
+// &lt; &gt; &amp; &quot; &apos; and decimal or "&#x" hexadecimal
+// references to XML characters, and turn CR LF and CR into LF. The
+// document is UTF-8 of XML characters. A weight is empty (zero) or what
+// strconv.ParseFloat reads after trimming white space. A processing
+// instruction (PI) in the prolog is skipped unless its target is "xml".
+//
+// # Refusals
+//
+// Anything else is a *SyntaxError that quotes at most 64 bytes of the
+// input: invalid UTF-8; illegal character U+XXXX; unknown element <x> in
+// <parent>; unknown attribute "x" on <element> (xmlns included);
+// duplicate attribute "x" on <element>; duplicate <code> in <node>;
+// prefixed name "x:y"; character data "..." in <parent> (or before
+// <model>); CDATA section outside <code> and <constraint>; DOCTYPE or other
+// declaration "<!..."; processing instruction after the prolog; malformed
+// processing instruction; malformed XML declaration; malformed comment;
+// invalid entity or character reference "&..."; '<' in attribute value;
+// "]]>" in character data; malformed number "x" for weight; malformed tag:
+// (what was expected); root element <x>, want <model>; end tag </x> does
+// not close <parent>; unexpected end of input in <element> (or before
+// <model>); trailing bytes after </model>. A document that parses but
+// does not form a model (an unknown node kind, a duplicate id, an edge to
+// a missing node, an unknown main diagram or variable scope) is refused
+// with the model's error.
 package xmi
 
 import (
-	"encoding/xml"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"prophet/internal/uml"
 )
 
-// xmlModel is the document root.
-type xmlModel struct {
-	XMLName   xml.Name      `xml:"model"`
-	Name      string        `xml:"name,attr"`
-	Main      string        `xml:"main,attr,omitempty"`
-	Variables []xmlVariable `xml:"variable"`
-	Functions []xmlFunction `xml:"function"`
-	Diagrams  []xmlDiagram  `xml:"diagram"`
-}
-
-type xmlVariable struct {
-	Name  string `xml:"name,attr"`
-	Type  string `xml:"type,attr"`
-	Scope string `xml:"scope,attr"`
-	Init  string `xml:"init,attr,omitempty"`
-}
-
-type xmlFunction struct {
-	Name   string     `xml:"name,attr"`
-	Type   string     `xml:"type,attr,omitempty"`
-	Body   string     `xml:"body,attr"`
-	Params []xmlParam `xml:"param"`
-}
-
-type xmlParam struct {
-	Name string `xml:"name,attr"`
-	Type string `xml:"type,attr,omitempty"`
-}
-
-type xmlDiagram struct {
-	ID    string    `xml:"id,attr"`
-	Name  string    `xml:"name,attr"`
-	Nodes []xmlNode `xml:"node"`
-	Edges []xmlEdge `xml:"edge"`
-}
-
-type xmlNode struct {
-	ID         string   `xml:"id,attr"`
-	Kind       string   `xml:"kind,attr"`
-	Name       string   `xml:"name,attr,omitempty"`
-	Stereotype string   `xml:"stereotype,attr,omitempty"`
-	Body       string   `xml:"body,attr,omitempty"`  // activity/loop body diagram
-	Count      string   `xml:"count,attr,omitempty"` // loop iteration count
-	Var        string   `xml:"var,attr,omitempty"`   // loop variable
-	CostFunc   string   `xml:"costfunc,attr,omitempty"`
-	Code       string   `xml:"code,omitempty"`
-	Tags       []xmlTag `xml:"tag"`
-	Consts     []string `xml:"constraint"`
-}
-
-type xmlTag struct {
-	Name  string `xml:"name,attr"`
-	Value string `xml:"value,attr"`
-}
-
-type xmlEdge struct {
-	From   string   `xml:"from,attr"`
-	To     string   `xml:"to,attr"`
-	Guard  string   `xml:"guard,attr,omitempty"`
-	Weight float64  `xml:"weight,attr,omitempty"`
-	Tags   []xmlTag `xml:"tag"`
-	Consts []string `xml:"constraint"`
-}
-
 // Encode writes the model to w as indented XML.
 func Encode(w io.Writer, m *uml.Model) error {
-	doc := toXML(m)
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
+	e := writer{w: w, buf: make([]byte, 0, chunk)}
+	e.model(m)
+	e.flush()
+	if e.err != nil {
+		return fmt.Errorf("xmi: encode model %q: %w", m.Name(), e.err)
 	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("xmi: encode model %q: %w", m.Name(), err)
-	}
-	// Trailing newline for POSIX-friendly files.
-	_, err := io.WriteString(w, "\n")
-	return err
+	return nil
 }
 
 // EncodeString renders the model as an XML string.
 func EncodeString(m *uml.Model) (string, error) {
-	var sb strings.Builder
-	if err := Encode(&sb, m); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
+	var e writer
+	e.model(m)
+	return string(e.buf), nil
 }
 
 // Save writes the model to a file.
@@ -120,33 +95,19 @@ func Save(path string, m *uml.Model) error {
 	return f.Close()
 }
 
-// Decode reads a model from r. Documents in the dialect Encode emits are
-// parsed by a hand-rolled scanner (fastDecode); anything it does not
-// recognize — other XML constructs, malformed input — is retried through
-// the stdlib decoder so observable behavior matches encoding/xml exactly.
+// Decode reads a model from r.
 func Decode(r io.Reader) (*uml.Model, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("xmi: decode: %w", err)
 	}
-	return decodeBytes(string(data))
+	return decode(string(data))
 }
 
-// DecodeString parses a model from an XML string.
+// DecodeString parses a model from an XML string. The model's strings
+// may share memory with s.
 func DecodeString(s string) (*uml.Model, error) {
-	return decodeBytes(s)
-}
-
-func decodeBytes(data string) (*uml.Model, error) {
-	if doc, err := fastDecode(data); err == nil {
-		return fromXML(doc)
-	}
-	var doc xmlModel
-	dec := xml.NewDecoder(strings.NewReader(data))
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("xmi: decode: %w", err)
-	}
-	return fromXML(&doc)
+	return decode(s)
 }
 
 // Load reads a model from a file.
@@ -163,204 +124,27 @@ func Load(path string) (*uml.Model, error) {
 	return m, nil
 }
 
-// toXML converts the model tree to its document form.
-func toXML(m *uml.Model) *xmlModel {
-	doc := &xmlModel{Name: m.Name(), Main: m.MainName()}
-	for _, v := range m.Variables() {
-		doc.Variables = append(doc.Variables, xmlVariable{
-			Name: v.Name, Type: v.Type, Scope: v.Scope.String(), Init: v.Init,
-		})
-	}
-	for _, f := range m.Functions() {
-		xf := xmlFunction{Name: f.Name, Type: f.Type, Body: f.Body}
-		for _, p := range f.Params {
-			xf.Params = append(xf.Params, xmlParam{Name: p.Name, Type: p.Type})
-		}
-		doc.Functions = append(doc.Functions, xf)
-	}
-	for _, d := range m.Diagrams() {
-		xd := xmlDiagram{ID: d.ID(), Name: d.Name()}
-		for _, n := range d.Nodes() {
-			xn := xmlNode{
-				ID:         n.ID(),
-				Kind:       n.Kind().String(),
-				Name:       n.Name(),
-				Stereotype: n.Stereotype(),
-				Consts:     n.Constraints(),
-			}
-			// Control nodes get synthetic names equal to their kind; do not
-			// persist those.
-			if xn.Name == n.Kind().String() && n.Kind().IsControl() {
-				xn.Name = ""
-			}
-			for _, tv := range n.Tags() {
-				xn.Tags = append(xn.Tags, xmlTag{Name: tv.Name, Value: tv.Value})
-			}
-			switch node := n.(type) {
-			case *uml.ActionNode:
-				xn.Code = node.Code
-				xn.CostFunc = node.CostFunc
-			case *uml.ActivityNode:
-				xn.Body = node.Body
-				xn.Code = node.Code
-				xn.CostFunc = node.CostFunc
-			case *uml.LoopNode:
-				xn.Body = node.Body
-				xn.Count = node.Count
-				xn.Var = node.Var
-			}
-			xd.Nodes = append(xd.Nodes, xn)
-		}
-		for _, e := range d.Edges() {
-			xe := xmlEdge{
-				From: e.From(), To: e.To(), Guard: e.Guard, Weight: e.Weight,
-				Consts: e.Constraints(),
-			}
-			for _, tv := range e.Tags() {
-				xe.Tags = append(xe.Tags, xmlTag{Name: tv.Name, Value: tv.Value})
-			}
-			xd.Edges = append(xd.Edges, xe)
-		}
-		doc.Diagrams = append(doc.Diagrams, xd)
-	}
-	return doc
+// HashPrefix tags every content address produced by this package.
+const HashPrefix = "sha256:"
+
+// HashBytes returns the content address of an already-canonical XMI
+// document: "sha256:" plus the hex SHA-256 of the bytes. Callers holding
+// arbitrary (non-canonical) XMI text should Decode and use Hash instead,
+// so that formatting differences normalize away.
+func HashBytes(text []byte) string {
+	sum := sha256.Sum256(text)
+	return HashPrefix + hex.EncodeToString(sum[:])
 }
 
-// sizeHint tallies the document's element counts so the model can be
-// built with slab-allocated nodes and pre-sized containers instead of one
-// heap allocation (plus incremental map growth) per element.
-func sizeHint(doc *xmlModel) uml.SizeHint {
-	h := uml.SizeHint{Diagrams: len(doc.Diagrams)}
-	for i := range doc.Diagrams {
-		xd := &doc.Diagrams[i]
-		h.Edges += len(xd.Edges)
-		for j := range xd.Nodes {
-			switch uml.KindFromName(xd.Nodes[j].Kind) {
-			case uml.KindAction:
-				h.Actions++
-			case uml.KindActivity:
-				h.Activities++
-			case uml.KindLoop:
-				h.Loops++
-			default:
-				h.Controls++
-			}
-		}
+// Hash canonicalizes m through Encode and returns the content address of
+// the result. Two models with identical canonical XMI hash identically;
+// any in-place mutation that changes the persisted form changes the hash.
+// It is the model id of the serving layer's model store. The document is
+// hashed as it is written, never held whole.
+func Hash(m *uml.Model) (string, error) {
+	h := sha256.New()
+	if err := Encode(h, m); err != nil {
+		return "", err
 	}
-	return h
-}
-
-// fromXML rebuilds the model tree from its document form.
-func fromXML(doc *xmlModel) (*uml.Model, error) {
-	m := uml.NewModel(doc.Name)
-	m.Preallocate(sizeHint(doc))
-	for _, xv := range doc.Variables {
-		scope := uml.ScopeGlobal
-		switch xv.Scope {
-		case "", "global":
-		case "local":
-			scope = uml.ScopeLocal
-		default:
-			return nil, fmt.Errorf("xmi: variable %q: unknown scope %q", xv.Name, xv.Scope)
-		}
-		if err := m.AddVariable(uml.Variable{Name: xv.Name, Type: xv.Type, Scope: scope, Init: xv.Init}); err != nil {
-			return nil, fmt.Errorf("xmi: %w", err)
-		}
-	}
-	for _, xf := range doc.Functions {
-		f := uml.Function{Name: xf.Name, Type: xf.Type, Body: xf.Body}
-		for _, p := range xf.Params {
-			f.Params = append(f.Params, uml.Param{Name: p.Name, Type: p.Type})
-		}
-		if err := m.AddFunction(f); err != nil {
-			return nil, fmt.Errorf("xmi: %w", err)
-		}
-	}
-	for _, xd := range doc.Diagrams {
-		d, err := m.AddDiagram(xd.Name)
-		if err != nil {
-			return nil, fmt.Errorf("xmi: %w", err)
-		}
-		d.Reserve(len(xd.Nodes), len(xd.Edges))
-		for _, xn := range xd.Nodes {
-			if err := addNode(m, d, xn); err != nil {
-				return nil, err
-			}
-		}
-		for _, xe := range xd.Edges {
-			e, err := d.Connect(xe.From, xe.To, xe.Guard)
-			if err != nil {
-				return nil, fmt.Errorf("xmi: diagram %q: %w", xd.Name, err)
-			}
-			e.Weight = xe.Weight
-			for _, tv := range xe.Tags {
-				e.SetTag(tv.Name, tv.Value)
-			}
-			for _, c := range xe.Consts {
-				e.AddConstraint(c)
-			}
-		}
-	}
-	if doc.Main != "" {
-		if err := m.SetMain(doc.Main); err != nil {
-			return nil, fmt.Errorf("xmi: %w", err)
-		}
-	}
-	return m, nil
-}
-
-func addNode(m *uml.Model, d *uml.Diagram, xn xmlNode) error {
-	kind := uml.KindFromName(xn.Kind)
-	var (
-		n   uml.Node
-		err error
-	)
-	switch kind {
-	case uml.KindAction:
-		var a *uml.ActionNode
-		a, err = m.AddAction(d, xn.ID, xn.Name)
-		if err == nil {
-			a.Code = xn.Code
-			a.CostFunc = xn.CostFunc
-			n = a
-		}
-	case uml.KindActivity:
-		var a *uml.ActivityNode
-		a, err = m.AddActivity(d, xn.ID, xn.Name, xn.Body)
-		if err == nil {
-			a.Code = xn.Code
-			a.CostFunc = xn.CostFunc
-			n = a
-		}
-	case uml.KindLoop:
-		var l *uml.LoopNode
-		l, err = m.AddLoop(d, xn.ID, xn.Name, xn.Count, xn.Body)
-		if err == nil {
-			l.Var = xn.Var
-			n = l
-		}
-	case uml.KindInitial, uml.KindFinal, uml.KindDecision, uml.KindMerge,
-		uml.KindFork, uml.KindJoin:
-		var c *uml.ControlNode
-		c, err = m.AddControl(d, xn.ID, kind)
-		if err == nil {
-			if xn.Name != "" {
-				c.SetName(xn.Name)
-			}
-			n = c
-		}
-	default:
-		return fmt.Errorf("xmi: node %q: unknown kind %q", xn.ID, xn.Kind)
-	}
-	if err != nil {
-		return fmt.Errorf("xmi: %w", err)
-	}
-	n.SetStereotype(xn.Stereotype)
-	for _, tv := range xn.Tags {
-		n.SetTag(tv.Name, tv.Value)
-	}
-	for _, c := range xn.Consts {
-		n.AddConstraint(c)
-	}
-	return nil
+	return HashPrefix + hex.EncodeToString(h.Sum(nil)), nil
 }
