@@ -31,9 +31,10 @@ test:
 # the HTTP serving layer (admission control, drain, model store), and
 # the engine's users: the interpreter (fork and OpenMP processes) and
 # the machine model (delivery callbacks run on process goroutines), and
-# the flow graph a diagram builds once and shares with every reader.
+# the memo of derived artifacts a model builds once and shares with every
+# reader (flow graphs, region trees, the check report) and its readers.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/estimator/... ./internal/lower/... ./internal/server/... ./internal/analytic/... ./internal/interp/... ./internal/machine/... ./internal/uml/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/estimator/... ./internal/lower/... ./internal/server/... ./internal/analytic/... ./internal/interp/... ./internal/machine/... ./internal/uml/... ./internal/checker/... ./internal/core/... ./internal/cppgen/... ./internal/gogen/...
 
 # Black-box smoke test of the prophetd binary: start it, register a
 # model, estimate, scrape /metrics, and check SIGTERM drains cleanly.
@@ -52,7 +53,7 @@ loadtest:
 # artifact tracking ns/op, allocs/op, and parallel speedup across PRs.
 bench:
 	$(GO) test -bench=. -benchmem .
-	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/estimator/
+	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/estimator/ ./internal/core/
 	$(GO) run ./cmd/benchrunner -o BENCH_runner.json -min-analytic-speedup 100
 
 # Per-stage pipeline scalability trajectory: every transformation stage

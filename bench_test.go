@@ -340,7 +340,9 @@ func BenchmarkChecker(b *testing.B) {
 		b.Run(fmt.Sprintf("elements-%d", size.d*size.a), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if rep := chk.Check(m); rep.HasErrors() {
+				// CheckCounted walks every time; Check would answer
+				// from the model's memo after the first call.
+				if rep, _ := chk.CheckCounted(m); rep.HasErrors() {
 					b.Fatal("synthetic model failed checking")
 				}
 			}

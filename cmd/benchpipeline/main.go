@@ -238,7 +238,8 @@ func measureSize(seed int64, nodes int) (sizeResult, error) {
 			return nil
 		}},
 		{"check", func() error {
-			if rep := checker.New().Check(m); rep.HasErrors() {
+			// The uncached walk: Check would answer from m's memo.
+			if rep, _ := checker.New().CheckCounted(m); rep.HasErrors() {
 				return fmt.Errorf("model fails checking")
 			}
 			return nil

@@ -67,7 +67,7 @@ func main() {
 	// the else path through A2 executes instead (Figure 8b's else arm).
 	m2 := uml.Clone(m)
 	a1 := m2.Main().NodeByName("A1").(*uml.ActionNode)
-	a1.Code = "P = 4;"
+	a1.SetCode("P = 4;")
 	est2, err := p.Estimate(prophet.Request{
 		Model:   m2,
 		Globals: map[string]float64{"GV": -1},

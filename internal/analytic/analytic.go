@@ -294,24 +294,24 @@ func (w *walker) profileDiagram(d *uml.Diagram) *bodyProfile {
 	for _, n := range d.Nodes() {
 		switch x := n.(type) {
 		case *uml.ActionNode:
-			if x.Code != "" {
+			if x.Code() != "" {
 				p.pure = false
 			}
-			src(x.CostFunc)
+			src(x.CostFunc())
 		case *uml.ActivityNode:
-			if x.Code != "" {
+			if x.Code() != "" {
 				p.pure = false
 			}
-			src(x.CostFunc)
-			sub(x.Body)
+			src(x.CostFunc())
+			sub(x.Body())
 		case *uml.LoopNode:
-			src(x.Count)
-			sub(x.Body)
+			src(x.Count())
+			sub(x.Body())
 		}
 	}
 	for _, e := range d.Edges() {
 		if !e.IsElse() {
-			src(e.Guard)
+			src(e.Guard())
 		}
 	}
 	return p
@@ -493,7 +493,7 @@ func (w *walker) successor(d *uml.Diagram, n uml.Node) (uml.Node, error) {
 // becomes a closed-form probability mixture over its branches.
 func (w *walker) branch(d *uml.Diagram, n *uml.ControlNode) (moments, uml.Node, error) {
 	out := d.Outgoing(n.ID())
-	if len(out) > 0 && out[0].Guard == "" && out[0].Weight > 0 {
+	if len(out) > 0 && out[0].Guard() == "" && out[0].Weight() > 0 {
 		dt, next, err := w.weighted(d, n, out)
 		return dt, next, err
 	}
@@ -503,12 +503,12 @@ func (w *walker) branch(d *uml.Diagram, n *uml.ControlNode) (moments, uml.Node, 
 			elseEdge = e
 			continue
 		}
-		if e.Guard == "" {
+		if e.Guard() == "" {
 			return moments{}, nil, fmt.Errorf("analytic: diagram %q: decision %q mixes weighted and guarded branches", d.Name(), n.Name())
 		}
-		v, err := w.evalSrc(e.Guard)
+		v, err := w.evalSrc(e.Guard())
 		if err != nil {
-			return moments{}, nil, fmt.Errorf("analytic: guard %q: %w", e.Guard, err)
+			return moments{}, nil, fmt.Errorf("analytic: guard %q: %w", e.Guard(), err)
 		}
 		if expr.Truthy(v) {
 			return moments{}, d.Node(e.To()), nil
@@ -529,10 +529,10 @@ func (w *walker) branch(d *uml.Diagram, n *uml.ControlNode) (moments, uml.Node, 
 func (w *walker) weighted(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge) (moments, uml.Node, error) {
 	var totalW float64
 	for _, e := range out {
-		if e.Guard != "" || e.Weight <= 0 {
+		if e.Guard() != "" || e.Weight() <= 0 {
 			return moments{}, nil, fmt.Errorf("analytic: diagram %q: decision %q mixes weighted and guarded branches", d.Name(), n.Name())
 		}
-		totalW += e.Weight
+		totalW += e.Weight()
 	}
 	w.stochastic = true
 	conv := d.Convergence(n)
@@ -549,7 +549,7 @@ func (w *walker) weighted(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge) (
 			w.frozen--
 			return moments{}, nil, err
 		}
-		p := e.Weight / totalW
+		p := e.Weight() / totalW
 		mean += p * bm.mean
 		e2 += p * (bm.varv + bm.mean*bm.mean)
 	}
@@ -601,26 +601,26 @@ func (w *walker) action(n *uml.ActionNode) (moments, error) {
 	default:
 		return moments{}, fmt.Errorf("analytic: element %q: stereotype <<%s>> is not analytic", n.Name(), n.Stereotype())
 	}
-	if err := w.applyCode(n.Code, n.Name()); err != nil {
+	if err := w.applyCode(n.Code(), n.Name()); err != nil {
 		return moments{}, err
 	}
-	return w.cost(n.CostFunc, n)
+	return w.cost(n.CostFunc(), n)
 }
 
 func (w *walker) activity(n *uml.ActivityNode) (moments, error) {
 	if st := n.Stereotype(); st != profile.ActivityPlus {
 		return moments{}, fmt.Errorf("analytic: activity %q: stereotype <<%s>> is not analytic", n.Name(), st)
 	}
-	if err := w.applyCode(n.Code, n.Name()); err != nil {
+	if err := w.applyCode(n.Code(), n.Name()); err != nil {
 		return moments{}, err
 	}
-	total, err := w.cost(n.CostFunc, n)
+	total, err := w.cost(n.CostFunc(), n)
 	if err != nil {
 		return moments{}, err
 	}
-	body := w.model.DiagramByName(n.Body)
+	body := w.model.DiagramByName(n.Body())
 	if body == nil {
-		return moments{}, fmt.Errorf("analytic: activity %q references unknown diagram %q", n.Name(), n.Body)
+		return moments{}, fmt.Errorf("analytic: activity %q references unknown diagram %q", n.Name(), n.Body())
 	}
 	dt, err := w.walkDiagram(body)
 	if err != nil {
@@ -635,28 +635,28 @@ func (w *walker) activity(n *uml.ActivityNode) (moments, error) {
 // variances add across iterations. A distribution-valued count is not
 // closed-form (the makespan becomes a random sum) and is rejected.
 func (w *walker) loop(n *uml.LoopNode) (moments, error) {
-	if _, ok := w.parseDist(n.Count); ok {
-		return moments{}, fmt.Errorf("analytic: loop %q: stochastic count %q is not closed-form", n.Name(), n.Count)
+	if _, ok := w.parseDist(n.Count()); ok {
+		return moments{}, fmt.Errorf("analytic: loop %q: stochastic count %q is not closed-form", n.Name(), n.Count())
 	}
-	v, err := w.evalSrc(n.Count)
+	v, err := w.evalSrc(n.Count())
 	if err != nil {
 		return moments{}, fmt.Errorf("analytic: loop %q count: %w", n.Name(), err)
 	}
 	count := int(v)
-	body := w.model.DiagramByName(n.Body)
+	body := w.model.DiagramByName(n.Body())
 	if body == nil {
-		return moments{}, fmt.Errorf("analytic: loop %q references unknown diagram %q", n.Name(), n.Body)
+		return moments{}, fmt.Errorf("analytic: loop %q references unknown diagram %q", n.Name(), n.Body())
 	}
 	saved, hadSaved := 0.0, false
-	if n.Var != "" {
-		saved, hadSaved = w.locals[n.Var]
+	if n.Var() != "" {
+		saved, hadSaved = w.locals[n.Var()]
 	}
 	restore := func() {
-		if n.Var != "" {
+		if n.Var() != "" {
 			if hadSaved {
-				w.locals[n.Var] = saved
+				w.locals[n.Var()] = saved
 			} else {
-				delete(w.locals, n.Var)
+				delete(w.locals, n.Var())
 			}
 		}
 	}
@@ -670,12 +670,12 @@ func (w *walker) loop(n *uml.LoopNode) (moments, error) {
 	// the step budget is still charged for every iteration, so a count
 	// big enough to trip the interpreter's runaway guard fails here too.
 	if count > 1 {
-		if p := w.profileDiagram(body); p.pure && (n.Var == "" || !p.vars[n.Var]) {
+		if p := w.profileDiagram(body); p.pure && (n.Var() == "" || !p.vars[n.Var()]) {
 			if err := w.step(n); err != nil {
 				return moments{}, err
 			}
-			if n.Var != "" {
-				w.locals[n.Var] = 0
+			if n.Var() != "" {
+				w.locals[n.Var()] = 0
 			}
 			before := w.steps
 			one, err := w.walkDiagram(body)
@@ -699,8 +699,8 @@ func (w *walker) loop(n *uml.LoopNode) (moments, error) {
 		if err := w.step(n); err != nil {
 			return moments{}, err
 		}
-		if n.Var != "" {
-			w.locals[n.Var] = float64(i)
+		if n.Var() != "" {
+			w.locals[n.Var()] = float64(i)
 		}
 		dt, err := w.walkDiagram(body)
 		if err != nil {

@@ -320,7 +320,7 @@ func (db *DiagramBuilder) connect() {
 			db.b.errs = append(db.b.errs, err)
 			continue
 		}
-		e.Weight = pe.weight
+		e.SetWeight(pe.weight)
 	}
 }
 
@@ -339,9 +339,9 @@ func (nb *NodeBuilder) Node() uml.Node { return nb.n }
 func (nb *NodeBuilder) Cost(expr string) *NodeBuilder {
 	switch n := nb.n.(type) {
 	case *uml.ActionNode:
-		n.CostFunc = expr
+		n.SetCostFunc(expr)
 	case *uml.ActivityNode:
-		n.CostFunc = expr
+		n.SetCostFunc(expr)
 	case nil:
 	default:
 		nb.db.b.errf("builder: node %q (%v) cannot carry a cost function", nb.n.Name(), nb.n.Kind())
@@ -353,9 +353,9 @@ func (nb *NodeBuilder) Cost(expr string) *NodeBuilder {
 func (nb *NodeBuilder) Code(src string) *NodeBuilder {
 	switch n := nb.n.(type) {
 	case *uml.ActionNode:
-		n.Code = src
+		n.SetCode(src)
 	case *uml.ActivityNode:
-		n.Code = src
+		n.SetCode(src)
 	case nil:
 	default:
 		nb.db.b.errf("builder: node %q (%v) cannot carry a code fragment", nb.n.Name(), nb.n.Kind())
@@ -375,7 +375,7 @@ func (nb *NodeBuilder) Tag(name, value string) *NodeBuilder {
 func (nb *NodeBuilder) Var(name string) *NodeBuilder {
 	switch n := nb.n.(type) {
 	case *uml.LoopNode:
-		n.Var = name
+		n.SetVar(name)
 	case nil:
 	default:
 		nb.db.b.errf("builder: node %q (%v) is not a loop", nb.n.Name(), nb.n.Kind())

@@ -12,7 +12,12 @@ package checker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"prophet/internal/expr"
 	"prophet/internal/profile"
@@ -164,19 +169,80 @@ func RuleDoc(name string) (string, bool) {
 
 // Check runs every enabled rule over the model and returns the combined
 // report. Diagnostics appear grouped by rule, in rule registration order.
+// The report is kept in the model's memo (uml.Model.Memo) until the model
+// next changes, and shared by every checker with the same registry, at the
+// same version, and the same configuration; each call returns its own
+// copy.
 func (c *Checker) Check(m *uml.Model) *Report {
-	rep, _ := c.check(m)
-	return rep
+	key := reportKey{reg: c.registry, config: c.config.fingerprint()}
+	if c.registry != nil {
+		key.version = c.registry.Version()
+	}
+	slot := m.Memo(reportSlot{}, func() any { return new(keptReport) }).(*keptReport)
+	slot.mu.Lock()
+	if slot.rep == nil || slot.key != key {
+		slot.rep, _ = c.check(m)
+		slot.key = key
+	}
+	rep := slot.rep
+	slot.mu.Unlock()
+	return &Report{Diagnostics: slices.Clone(rep.Diagnostics)}
 }
 
-// CheckCounted is Check plus the number of full model traversals the
-// checker performed. The fused rule engine dispatches all rules from one
-// walk, so the count is 1 regardless of how many rules are enabled; the
-// walk-count test pins that property against regressions back to
-// rule-at-a-time re-walking.
+// reportSlot is the memo key of a model's kept report.
+type reportSlot struct{}
+
+// keptReport is a model's one kept report and the key it was made under.
+// A check under another key replaces it, so the memo of a long-lived model
+// holds one report however many checkers read it; concurrent checks wait
+// for one walk.
+type keptReport struct {
+	mu  sync.Mutex
+	key reportKey
+	rep *Report
+}
+
+// reportKey is everything besides the model that a report depends on.
+type reportKey struct {
+	reg     *profile.Registry
+	version uint64
+	config  string
+}
+
+// fingerprint renders the configuration canonically; the zero Config
+// renders as "".
+func (cfg Config) fingerprint() string {
+	if len(cfg.Disabled) == 0 && len(cfg.Severities) == 0 {
+		return ""
+	}
+	var parts []string
+	for name, off := range cfg.Disabled {
+		if off {
+			parts = append(parts, "-"+name)
+		}
+	}
+	for name, sev := range cfg.Severities {
+		parts = append(parts, name+"="+strconv.Itoa(int(sev)))
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, ",")
+}
+
+// CheckCounted is Check without the memo, plus the number of full model
+// traversals the checker performed. The fused rule engine dispatches all
+// rules from one walk, so the count is 1 regardless of how many rules are
+// enabled; the walk-count test pins that property against regressions
+// back to rule-at-a-time re-walking.
 func (c *Checker) CheckCounted(m *uml.Model) (*Report, int) {
 	return c.check(m)
 }
+
+// walks counts the model walks of every checker in the process.
+var walks atomic.Int64
+
+// Walks returns how many model walks the checkers in this process have
+// made. A Check answered from the model's memo makes none.
+func Walks() int64 { return walks.Load() }
 
 // check is the single-walk rule engine. Every enabled rule contributes a
 // ruleVisitor; the engine traverses the model exactly once — model, then
@@ -239,7 +305,7 @@ func (c *Checker) check(m *uml.Model) (*Report, int) {
 		}
 	}
 
-	walks := 1 // the one traversal below; per-rule re-walks would add here
+	walks.Add(1) // the one traversal below; per-rule re-walks would add here
 	for _, cb := range onModel {
 		cb()
 	}
@@ -248,8 +314,8 @@ func (c *Checker) check(m *uml.Model) (*Report, int) {
 			cb(d)
 		}
 		for _, n := range d.Nodes() {
-			if lp, ok := n.(*uml.LoopNode); ok && lp.Var != "" {
-				shared.known[lp.Var] = true
+			if lp, ok := n.(*uml.LoopNode); ok && lp.Var() != "" {
+				shared.known[lp.Var()] = true
 			}
 			for _, cb := range onNode {
 				cb(d, n)
@@ -279,7 +345,7 @@ func (c *Checker) check(m *uml.Model) (*Report, int) {
 			rep.Diagnostics = append(rep.Diagnostics, ctx.diags...)
 		}
 	}
-	return rep, walks
+	return rep, 1
 }
 
 // walkShared is state the engine accumulates once per walk on behalf of
@@ -288,8 +354,8 @@ func (c *Checker) check(m *uml.Model) (*Report, int) {
 // every node has been visited — rules that need it read it in finish).
 // exprs holds every expression source parsed during the walk, so a
 // source that many elements share, or that several rules read, is
-// parsed once; it lives for one check, because a model's expression
-// fields can change between checks without notice.
+// parsed once; it lives for one walk, and the report outlives it in the
+// model's memo.
 type walkShared struct {
 	known map[string]bool
 	exprs map[string]*parsedExpr

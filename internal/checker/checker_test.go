@@ -346,7 +346,7 @@ func TestSharedSourcesDiagnosedPerElement(t *testing.T) {
 	for _, n := range m.Main().Nodes() {
 		if a, ok := n.(*uml.ActionNode); ok {
 			wantDiags = append(wantDiags, Diagnostic{
-				Rule: "cost-functions", Severity: Error, ElementID: a.ID(), Message: want[a.CostFunc],
+				Rule: "cost-functions", Severity: Error, ElementID: a.ID(), Message: want[a.CostFunc()],
 			})
 		}
 	}
@@ -457,9 +457,9 @@ func TestWeightedDecisionRules(t *testing.T) {
 	// Mixed guarded/weighted: error.
 	m := mk(0.5, 0.5)
 	for _, e := range m.Main().Edges() {
-		if e.Weight == 0.5 {
-			e.Guard = "GV > 0"
-			e.Weight = 0
+		if e.Weight() == 0.5 {
+			e.SetGuard("GV > 0")
+			e.SetWeight(0)
 			break
 		}
 	}

@@ -143,12 +143,12 @@ var allRules = []rule{
 					elses := 0
 					for _, e := range out {
 						switch {
-						case e.Guard != "":
+						case e.Guard() != "":
 							guarded++
 							if e.IsElse() {
 								elses++
 							}
-						case e.Weight > 0:
+						case e.Weight() > 0:
 							weighted++
 						default:
 							ctx.add(e, "edge out of decision node has neither guard nor positive weight")
@@ -175,17 +175,17 @@ var allRules = []rule{
 						return
 					}
 					out := d.Outgoing(n.ID())
-					if len(out) == 0 || out[0].Guard != "" || out[0].Weight <= 0 {
+					if len(out) == 0 || out[0].Guard() != "" || out[0].Weight() <= 0 {
 						return // guarded decision; decision-guards covers it
 					}
 					sum := 0.0
 					allWeighted := true
 					for _, e := range out {
-						if e.Weight <= 0 || e.Guard != "" {
+						if e.Weight() <= 0 || e.Guard() != "" {
 							allWeighted = false
 							break
 						}
-						sum += e.Weight
+						sum += e.Weight()
 					}
 					if allWeighted && (sum < 0.999 || sum > 1.001) {
 						ctx.add(n, "branch weights sum to %g, not 1 (they will be normalized)", sum)
@@ -286,16 +286,16 @@ var allRules = []rule{
 				node: func(d *uml.Diagram, n uml.Node) {
 					switch x := n.(type) {
 					case *uml.ActivityNode:
-						if x.Body == "" {
+						if x.Body() == "" {
 							ctx.add(n, "activity %q has no body diagram", x.Name())
-						} else if ctx.model.DiagramByName(x.Body) == nil {
-							ctx.add(n, "activity %q references unknown diagram %q", x.Name(), x.Body)
+						} else if ctx.model.DiagramByName(x.Body()) == nil {
+							ctx.add(n, "activity %q references unknown diagram %q", x.Name(), x.Body())
 						}
 					case *uml.LoopNode:
-						if x.Body == "" {
+						if x.Body() == "" {
 							ctx.add(n, "loop %q has no body diagram", x.Name())
-						} else if ctx.model.DiagramByName(x.Body) == nil {
-							ctx.add(n, "loop %q references unknown diagram %q", x.Name(), x.Body)
+						} else if ctx.model.DiagramByName(x.Body()) == nil {
+							ctx.add(n, "loop %q references unknown diagram %q", x.Name(), x.Body())
 						}
 					}
 				},
@@ -313,12 +313,12 @@ var allRules = []rule{
 				node: func(d *uml.Diagram, n uml.Node) {
 					switch x := n.(type) {
 					case *uml.ActivityNode:
-						if x.Body != "" {
-							refs[d.Name()] = append(refs[d.Name()], x.Body)
+						if x.Body() != "" {
+							refs[d.Name()] = append(refs[d.Name()], x.Body())
 						}
 					case *uml.LoopNode:
-						if x.Body != "" {
-							refs[d.Name()] = append(refs[d.Name()], x.Body)
+						if x.Body() != "" {
+							refs[d.Name()] = append(refs[d.Name()], x.Body())
 						}
 					}
 				},
@@ -367,21 +367,21 @@ var allRules = []rule{
 			var guarded []*uml.Edge
 			return ruleVisitor{
 				edge: func(d *uml.Diagram, e *uml.Edge) {
-					if e.Guard != "" && !e.IsElse() {
+					if e.Guard() != "" && !e.IsElse() {
 						guarded = append(guarded, e)
 					}
 				},
 				finish: func() {
 					known := ctx.shared.known
 					for _, e := range guarded {
-						p := ctx.shared.parse(e.Guard)
+						p := ctx.shared.parse(e.Guard())
 						if p.err != nil {
-							ctx.add(e, "guard %s does not parse: %v", quote(e.Guard), p.err)
+							ctx.add(e, "guard %s does not parse: %v", quote(e.Guard()), p.err)
 							continue
 						}
 						for _, v := range p.vars {
 							if !known[v] {
-								ctx.add(e, "guard %s references undeclared variable %q", quote(e.Guard), v)
+								ctx.add(e, "guard %s references undeclared variable %q", quote(e.Guard()), v)
 							}
 						}
 					}
@@ -401,15 +401,15 @@ var allRules = []rule{
 				node: func(d *uml.Diagram, n uml.Node) {
 					switch x := n.(type) {
 					case *uml.ActionNode:
-						if x.CostFunc != "" {
+						if x.CostFunc() != "" {
 							carriers = append(carriers, n)
 						}
 					case *uml.ActivityNode:
-						if x.CostFunc != "" {
+						if x.CostFunc() != "" {
 							carriers = append(carriers, n)
 						}
 					case *uml.LoopNode:
-						if x.Count != "" {
+						if x.Count() != "" {
 							carriers = append(carriers, n)
 						}
 					}
@@ -458,11 +458,11 @@ var allRules = []rule{
 					for _, node := range carriers {
 						switch x := node.(type) {
 						case *uml.ActionNode:
-							checkExpr(node, "cost function", x.CostFunc, nil, true)
+							checkExpr(node, "cost function", x.CostFunc(), nil, true)
 						case *uml.ActivityNode:
-							checkExpr(node, "cost function", x.CostFunc, nil, true)
+							checkExpr(node, "cost function", x.CostFunc(), nil, true)
 						case *uml.LoopNode:
-							checkExpr(node, "loop count", x.Count, nil, true)
+							checkExpr(node, "loop count", x.Count(), nil, true)
 						}
 					}
 					for _, f := range ctx.model.Functions() {

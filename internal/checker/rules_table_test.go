@@ -108,9 +108,9 @@ func TestEveryRuleFires(t *testing.T) {
 				fin, _ := m.AddControl(d, "", uml.KindFinal)
 				d.Connect(ini.ID(), dec.ID(), "")
 				e1, _ := d.Connect(dec.ID(), a.ID(), "")
-				e1.Weight = 0.3
+				e1.SetWeight(0.3)
 				e2, _ := d.Connect(dec.ID(), b.ID(), "")
-				e2.Weight = 0.2
+				e2.SetWeight(0.2)
 				d.Connect(a.ID(), fin.ID(), "")
 				d.Connect(b.ID(), fin.ID(), "")
 				return m
@@ -176,9 +176,9 @@ func TestEveryRuleFires(t *testing.T) {
 				d.Connect(a.ID(), j.ID(), "")
 				d.Connect(b.ID(), dec.ID(), "")
 				e1, _ := d.Connect(dec.ID(), out.ID(), "")
-				e1.Weight = 0.5
+				e1.SetWeight(0.5)
 				e2, _ := d.Connect(dec.ID(), j.ID(), "")
-				e2.Weight = 0.5
+				e2.SetWeight(0.5)
 				d.Connect(j.ID(), fin.ID(), "")
 				return m
 			},
@@ -258,7 +258,7 @@ func TestEveryRuleFires(t *testing.T) {
 				d, _ := m.AddDiagram("main")
 				ini, _ := m.AddControl(d, "", uml.KindInitial)
 				a := mustAction(t, m, d, "A")
-				a.CostFunc = "Missing()"
+				a.SetCostFunc("Missing()")
 				fin, _ := m.AddControl(d, "", uml.KindFinal)
 				d.Connect(ini.ID(), a.ID(), "")
 				d.Connect(a.ID(), fin.ID(), "")

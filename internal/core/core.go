@@ -108,7 +108,8 @@ func (p *Prophet) Check(m *uml.Model) *checker.Report {
 
 // TransformCpp checks the model and, if it is well-formed, transforms it
 // to its C++ representation — the automatic transformation of the paper's
-// title.
+// title. The check reads the report kept in the model's memo, so a model
+// already checked is not walked again.
 func (p *Prophet) TransformCpp(m *uml.Model) (string, error) {
 	if rep := p.checker.Check(m); rep.HasErrors() {
 		return "", &estimator.CheckError{Model: m.Name(), Report: rep}
@@ -189,14 +190,11 @@ func (p *Prophet) RunPipeline(modelPath, tracePath string, params SystemParams, 
 		return &PipelineResult{Model: m, Report: rep},
 			fmt.Errorf("core: model %q failed checking with %d error(s)", m.Name(), rep.Count(checker.Error))
 	}
-	cpp, err := p.cpp.Generate(m)
+	cpp, err := p.TransformCpp(m)
 	if err != nil {
 		return nil, err
 	}
-	est, err := p.Estimate(Request{
-		Model: m, Params: params, Globals: globals,
-		TracePath: tracePath, SkipCheck: true,
-	})
+	est, err := p.Estimate(Request{Model: m, Params: params, Globals: globals, TracePath: tracePath})
 	if err != nil {
 		return nil, err
 	}

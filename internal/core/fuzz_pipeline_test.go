@@ -4,8 +4,10 @@ import (
 	"errors"
 	"go/parser"
 	"go/token"
+	"slices"
 	"testing"
 
+	"prophet/internal/checker"
 	"prophet/internal/cppgen"
 	"prophet/internal/samples"
 	"prophet/internal/uml"
@@ -19,7 +21,9 @@ import (
 // the rest, accepted C++ must pass cppgen.ValidateStructure, accepted Go
 // must parse, and a structural refusal (a uml.FlowError from the shared
 // region tree) from one generator must be the same refusal from the
-// other. The committed seeds under testdata/fuzz/FuzzPipeline cover
+// other. The report Check keeps in the model's memo must equal an
+// uncached walk, before and after the rest of the pipeline has read the
+// model. The committed seeds under testdata/fuzz/FuzzPipeline cover
 // malformed tags, cyclic flows and NaN/Inf execution times.
 func FuzzPipeline(f *testing.F) {
 	if s, err := xmi.EncodeString(samples.Sample()); err == nil {
@@ -43,6 +47,10 @@ func FuzzPipeline(f *testing.F) {
 		}
 		p := New()
 		rep := p.Check(m)
+		uncached, _ := checker.New().CheckCounted(m)
+		if !slices.Equal(rep.Diagnostics, uncached.Diagnostics) {
+			t.Fatalf("memoized report differs from an uncached walk:\n%v\n%v", rep.Diagnostics, uncached.Diagnostics)
+		}
 		if rep.HasErrors() {
 			return
 		}
@@ -74,5 +82,8 @@ func FuzzPipeline(f *testing.F) {
 		// Simulate with a tight execution bound so runaway loops fail fast
 		// instead of timing out the fuzzer.
 		_, _ = p.Estimate(Request{Model: m, MaxSteps: 2000, SkipCheck: true})
+		if again := p.Check(m); !slices.Equal(again.Diagnostics, uncached.Diagnostics) {
+			t.Fatalf("memoized report changed over the pipeline:\n%v\n%v", again.Diagnostics, uncached.Diagnostics)
+		}
 	})
 }

@@ -25,6 +25,7 @@ package cppgen
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"prophet/internal/profile"
@@ -234,7 +235,7 @@ func (g *Generator) emitDeclarations(w *writer, m *uml.Model, perf []uml.Element
 		used[ident] = true
 		names[e.ID()] = ident
 		id, _ := uml.TagInt(e, profile.TagID)
-		w.line("%s %s(%q, %d);", class, ident, e.Name(), id)
+		w.put(class, " ", ident, "(", strconv.Quote(e.Name()), ", ", strconv.Itoa(id), ");")
 	}
 	w.blank()
 	return names, nil
@@ -251,7 +252,7 @@ func (g *Generator) elementClass(e uml.Element) (string, bool, error) {
 	case profile.ActivityPlus:
 		// An activity is structural; it is declared only when it carries
 		// an aggregate cost function of its own.
-		if a, ok := e.(*uml.ActivityNode); ok && a.CostFunc != "" {
+		if a, ok := e.(*uml.ActivityNode); ok && a.CostFunc() != "" {
 			return "ActivityPlus", true, nil
 		}
 		return "ActivityPlus", false, nil
@@ -297,6 +298,18 @@ func (w *writer) line(format string, args ...interface{}) {
 		w.sb.WriteString(format)
 	} else {
 		fmt.Fprintf(&w.sb, format, args...)
+	}
+	w.sb.WriteByte('\n')
+}
+
+// put writes one indented line from its parts, without formatting: the
+// per-element lines go through here.
+func (w *writer) put(parts ...string) {
+	for i := 0; i < w.indent; i++ {
+		w.sb.WriteString("    ")
+	}
+	for _, p := range parts {
+		w.sb.WriteString(p)
 	}
 	w.sb.WriteByte('\n')
 }

@@ -513,7 +513,7 @@ func TestGenerateErrors(t *testing.T) {
 		i, _ := m.AddControl(d, "", uml.KindInitial)
 		a, _ := m.AddAction(d, "", "A")
 		a.SetStereotype(profile.ActionPlus)
-		a.CostFunc = "F("
+		a.SetCostFunc("F(")
 		f, _ := m.AddControl(d, "", uml.KindFinal)
 		d.Connect(i.ID(), a.ID(), "")
 		d.Connect(a.ID(), f.ID(), "")

@@ -36,8 +36,7 @@ type flowEmitter struct {
 	active []string
 	// exprs holds every expression source rendered by this fold, so a
 	// cost that many elements share is parsed once. It lives for one
-	// Generate call: the model's expression fields may change between
-	// calls.
+	// Generate call.
 	exprs map[string]rendered
 }
 
@@ -99,14 +98,14 @@ func (f *flowEmitter) emit(r *uml.Region) error {
 			if a.Edge.IsElse() {
 				f.w.line("} else {")
 			} else {
-				guard, err := f.render(a.Edge.Guard)
+				guard, err := f.render(a.Edge.Guard())
 				if err != nil {
-					return fmt.Errorf("cppgen: diagram %q: guard %q: %w", r.Node.Diagram().Name(), a.Edge.Guard, err)
+					return fmt.Errorf("cppgen: diagram %q: guard %q: %w", r.Node.Diagram().Name(), a.Edge.Guard(), err)
 				}
 				if i == 0 {
-					f.w.line("if (%s) {", guard)
+					f.w.put("if (", guard, ") {")
 				} else {
-					f.w.line("} else if (%s) {", guard)
+					f.w.put("} else if (", guard, ") {")
 				}
 			}
 			if err := f.emitArm(a); err != nil {
@@ -117,14 +116,14 @@ func (f *flowEmitter) emit(r *uml.Region) error {
 	case uml.RegionWeighted:
 		var total float64
 		for _, a := range r.Arms {
-			total += a.Edge.Weight
+			total += a.Edge.Weight()
 		}
 		f.w.line("{")
 		f.w.in()
 		f.w.line("double pmp_r = pmp_rand() * %g; // weighted branch", total)
 		acc := 0.0
 		for i := range r.Arms {
-			acc += r.Arms[i].Edge.Weight
+			acc += r.Arms[i].Edge.Weight()
 			switch {
 			case i == 0:
 				f.w.line("if (pmp_r < %g) {", acc)
@@ -177,9 +176,9 @@ func (f *flowEmitter) emitAction(n *uml.ActionNode) error {
 		// them (Figure 5 only includes selected perf_elements).
 		return nil
 	}
-	if n.Code != "" {
-		f.w.line("// code associated with %s", n.Name())
-		f.w.lines(n.Code)
+	if n.Code() != "" {
+		f.w.put("// code associated with ", n.Name())
+		f.w.lines(n.Code())
 	}
 	ident, ok := f.names[n.ID()]
 	if !ok {
@@ -189,7 +188,7 @@ func (f *flowEmitter) emitAction(n *uml.ActionNode) error {
 	if err != nil {
 		return err
 	}
-	f.w.line("%s.execute(%s);", ident, args)
+	f.w.put(ident, ".execute(", args, ");")
 	return nil
 }
 
@@ -202,7 +201,7 @@ func (f *flowEmitter) executeArgs(n *uml.ActionNode) (string, error) {
 	case profile.ActionPlus, profile.OMPCritical:
 		// The cost function wins; the `time` tagged value is the
 		// fallback (Figure 1b's measured execution time).
-		src := n.CostFunc
+		src := n.CostFunc()
 		if src == "" {
 			if raw, ok := n.Tag(profile.TagTime); ok {
 				src = raw
@@ -243,16 +242,16 @@ func (f *flowEmitter) executeArgs(n *uml.ActionNode) (string, error) {
 // call models that aggregate cost before the content.
 func (f *flowEmitter) emitActivity(n *uml.ActivityNode) error {
 	f.w.line("// activity %s", n.Name())
-	if n.Code != "" {
+	if n.Code() != "" {
 		f.w.line("// code associated with %s", n.Name())
-		f.w.lines(n.Code)
+		f.w.lines(n.Code())
 	}
-	if n.CostFunc != "" {
+	if n.CostFunc() != "" {
 		ident, ok := f.names[n.ID()]
 		if !ok {
 			return fmt.Errorf("cppgen: activity %q was not declared", n.Name())
 		}
-		cost, err := f.render(n.CostFunc)
+		cost, err := f.render(n.CostFunc())
 		if err != nil {
 			return fmt.Errorf("cppgen: activity %q cost function: %w", n.Name(), err)
 		}
@@ -261,7 +260,7 @@ func (f *flowEmitter) emitActivity(n *uml.ActivityNode) error {
 	if n.Stereotype() == profile.OMPParallel {
 		return f.emitParallelRegion(n)
 	}
-	return f.emitBody("activity", n.Name(), n.Body)
+	return f.emitBody("activity", n.Name(), n.Body())
 }
 
 // emitBody nests the body diagram of an activity, parallel region or loop.
@@ -286,7 +285,7 @@ func (f *flowEmitter) emitParallelRegion(n *uml.ActivityNode) error {
 	}
 	f.w.line("PARALLEL_FOR_THREADS(tid, (int)(%s)) {", count)
 	f.w.in()
-	if err := f.emitBody("parallel region", n.Name(), n.Body); err != nil {
+	if err := f.emitBody("parallel region", n.Name(), n.Body()); err != nil {
 		return err
 	}
 	f.w.out()
@@ -296,18 +295,18 @@ func (f *flowEmitter) emitParallelRegion(n *uml.ActivityNode) error {
 
 // emitLoop emits a counted for statement around the loop body diagram.
 func (f *flowEmitter) emitLoop(n *uml.LoopNode) error {
-	count, err := f.render(n.Count)
+	count, err := f.render(n.Count())
 	if err != nil {
 		return fmt.Errorf("cppgen: loop %q count: %w", n.Name(), err)
 	}
-	v := n.Var
+	v := n.Var()
 	if v == "" {
 		f.loopSeq++
 		v = fmt.Sprintf("it%d", f.loopSeq)
 	}
 	f.w.line("for (int %s = 0; %s < (int)(%s); ++%s) { // loop %s", v, v, count, v, n.Name())
 	f.w.in()
-	if err := f.emitBody("loop", n.Name(), n.Body); err != nil {
+	if err := f.emitBody("loop", n.Name(), n.Body()); err != nil {
 		return err
 	}
 	f.w.out()

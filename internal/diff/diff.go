@@ -185,30 +185,30 @@ func nodeChanges(on, nn uml.Node) []string {
 	switch o := on.(type) {
 	case *uml.ActionNode:
 		n := nn.(*uml.ActionNode)
-		if o.CostFunc != n.CostFunc {
-			out = append(out, fmt.Sprintf("cost function: %q -> %q", o.CostFunc, n.CostFunc))
+		if o.CostFunc() != n.CostFunc() {
+			out = append(out, fmt.Sprintf("cost function: %q -> %q", o.CostFunc(), n.CostFunc()))
 		}
-		if o.Code != n.Code {
+		if o.Code() != n.Code() {
 			out = append(out, "code fragment changed")
 		}
 	case *uml.ActivityNode:
 		n := nn.(*uml.ActivityNode)
-		if o.Body != n.Body {
-			out = append(out, fmt.Sprintf("body: %q -> %q", o.Body, n.Body))
+		if o.Body() != n.Body() {
+			out = append(out, fmt.Sprintf("body: %q -> %q", o.Body(), n.Body()))
 		}
-		if o.CostFunc != n.CostFunc {
-			out = append(out, fmt.Sprintf("cost function: %q -> %q", o.CostFunc, n.CostFunc))
+		if o.CostFunc() != n.CostFunc() {
+			out = append(out, fmt.Sprintf("cost function: %q -> %q", o.CostFunc(), n.CostFunc()))
 		}
 	case *uml.LoopNode:
 		n := nn.(*uml.LoopNode)
-		if o.Count != n.Count {
-			out = append(out, fmt.Sprintf("count: %q -> %q", o.Count, n.Count))
+		if o.Count() != n.Count() {
+			out = append(out, fmt.Sprintf("count: %q -> %q", o.Count(), n.Count()))
 		}
-		if o.Body != n.Body {
-			out = append(out, fmt.Sprintf("body: %q -> %q", o.Body, n.Body))
+		if o.Body() != n.Body() {
+			out = append(out, fmt.Sprintf("body: %q -> %q", o.Body(), n.Body()))
 		}
-		if o.Var != n.Var {
-			out = append(out, fmt.Sprintf("loop variable: %q -> %q", o.Var, n.Var))
+		if o.Var() != n.Var() {
+			out = append(out, fmt.Sprintf("loop variable: %q -> %q", o.Var(), n.Var()))
 		}
 	}
 	return out
@@ -268,11 +268,11 @@ func diffEdges(od, nd *uml.Diagram, add func(Op, string, string)) {
 			add(Removed, edgePath(od, e), "")
 			continue
 		}
-		if e.Guard != ne.Guard {
-			add(Changed, edgePath(od, e), fmt.Sprintf("guard: %q -> %q", e.Guard, ne.Guard))
+		if e.Guard() != ne.Guard() {
+			add(Changed, edgePath(od, e), fmt.Sprintf("guard: %q -> %q", e.Guard(), ne.Guard()))
 		}
-		if e.Weight != ne.Weight {
-			add(Changed, edgePath(od, e), fmt.Sprintf("weight: %g -> %g", e.Weight, ne.Weight))
+		if e.Weight() != ne.Weight() {
+			add(Changed, edgePath(od, e), fmt.Sprintf("weight: %g -> %g", e.Weight(), ne.Weight()))
 		}
 	}
 	for _, e := range nd.Edges() {

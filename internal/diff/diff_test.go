@@ -67,10 +67,10 @@ func TestNodeChanges(t *testing.T) {
 	a := samples.Sample()
 	b := uml.Clone(a)
 	a1 := b.Main().NodeByName("A1").(*uml.ActionNode)
-	a1.CostFunc = "FA2()"
+	a1.SetCostFunc("FA2()")
 	a1.SetTag("id", "42")
 	a1.SetTag("new", "x")
-	a1.Code = "GV = 5;"
+	a1.SetCode("GV = 5;")
 	changes := Models(a, b)
 	var details []string
 	for _, c := range changes {
@@ -95,8 +95,8 @@ func TestEdgeChanges(t *testing.T) {
 	a := samples.Sample()
 	b := uml.Clone(a)
 	for _, e := range b.Main().Edges() {
-		if e.Guard == "GV > 0" {
-			e.Guard = "GV >= 1"
+		if e.Guard() == "GV > 0" {
+			e.SetGuard("GV >= 1")
 		}
 	}
 	changes := Models(a, b)
@@ -133,11 +133,11 @@ func TestLoopFieldChanges(t *testing.T) {
 	da, _ := a.AddDiagram("main")
 	a.AddDiagram("body")
 	la, _ := a.AddLoop(da, "l1", "L", "N", "body")
-	la.Var = "i"
+	la.SetVar("i")
 	b := uml.Clone(a)
 	lb := b.Main().Node("l1").(*uml.LoopNode)
-	lb.Count = "M"
-	lb.Var = "j"
+	lb.SetCount("M")
+	lb.SetVar("j")
 	changes := Models(a, b)
 	var details []string
 	for _, c := range changes {

@@ -48,8 +48,8 @@ func (h *Handler) Visit(ev traverse.Event) error {
 	case traverse.VisitEdge:
 		e := ev.Element.(*uml.Edge)
 		attrs := ""
-		if e.Guard != "" {
-			attrs = fmt.Sprintf(" [label=%q]", "["+e.Guard+"]")
+		if e.Guard() != "" {
+			attrs = fmt.Sprintf(" [label=%q]", "["+e.Guard()+"]")
 		}
 		fmt.Fprintf(&h.sb, "    %q -> %q%s;\n", e.From(), e.To(), attrs)
 	case traverse.LeaveDiagram:
@@ -82,14 +82,14 @@ func nodeAttrs(n uml.Node) string {
 	case uml.KindActivity:
 		a := n.(*uml.ActivityNode)
 		return fmt.Sprintf("shape=box, style=rounded, peripheries=2, label=%q, tooltip=%q",
-			label, "content: "+a.Body)
+			label, "content: "+a.Body())
 	case uml.KindLoop:
 		l := n.(*uml.LoopNode)
-		return fmt.Sprintf("shape=box3d, label=%q", fmt.Sprintf("%s\\n[%s = 1,%s]", label, l.Var, l.Count))
+		return fmt.Sprintf("shape=box3d, label=%q", fmt.Sprintf("%s\\n[%s = 1,%s]", label, l.Var(), l.Count()))
 	default: // action
 		extra := ""
-		if a, ok := n.(*uml.ActionNode); ok && a.CostFunc != "" {
-			extra = "\\nT = " + a.CostFunc
+		if a, ok := n.(*uml.ActionNode); ok && a.CostFunc() != "" {
+			extra = "\\nT = " + a.CostFunc()
 		}
 		return fmt.Sprintf("shape=box, style=rounded, label=%q", label+extra)
 	}

@@ -161,8 +161,8 @@ func TestRejectedModelChecksOnce(t *testing.T) {
 	m := samples.Sample()
 	for _, d := range m.Diagrams() {
 		for _, nd := range d.Nodes() {
-			if a, ok := nd.(*uml.ActionNode); ok && a.CostFunc != "" {
-				a.CostFunc = "1 +"
+			if a, ok := nd.(*uml.ActionNode); ok && a.CostFunc() != "" {
+				a.SetCostFunc("1 +")
 			}
 		}
 	}

@@ -107,8 +107,8 @@ func TestCompileCachedDetectsMutation(t *testing.T) {
 	var mutated bool
 	for _, d := range m.Diagrams() {
 		for _, n := range d.Nodes() {
-			if a, ok := n.(*uml.ActionNode); ok && a.CostFunc == "FSA1()" {
-				a.CostFunc = "FA2()" // 5.0 → 3*P = 12: makespan must shift
+			if a, ok := n.(*uml.ActionNode); ok && a.CostFunc() == "FSA1()" {
+				a.SetCostFunc("FA2()") // 5.0 → 3*P = 12: makespan must shift
 				mutated = true
 				break
 			}

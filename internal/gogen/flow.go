@@ -20,8 +20,7 @@ type goFlow struct {
 	active  []string
 	// exprs holds every expression source rendered by this fold, so a
 	// source that many elements share is parsed once. It lives for one
-	// Generate call: the model's expression fields may change between
-	// calls.
+	// Generate call.
 	exprs map[string]rendered
 }
 
@@ -43,7 +42,20 @@ func (f *goFlow) render(src string) (string, error) {
 }
 
 func (f *goFlow) line(format string, args ...interface{}) {
-	f.w.line(strings.Repeat("\t", f.indent)+format, args...)
+	f.tabs()
+	f.w.line(format, args...)
+}
+
+// put is line for a line of plain parts.
+func (f *goFlow) put(parts ...string) {
+	f.tabs()
+	f.w.put(parts...)
+}
+
+func (f *goFlow) tabs() {
+	for i := 0; i < f.indent; i++ {
+		f.w.sb.WriteByte('\t')
+	}
 }
 
 func (f *goFlow) emitDiagram(d *uml.Diagram) error {
@@ -84,14 +96,14 @@ func (f *goFlow) emit(r *uml.Region) error {
 			if a.Edge.IsElse() {
 				f.line("} else {")
 			} else {
-				guard, err := f.render(a.Edge.Guard)
+				guard, err := f.render(a.Edge.Guard())
 				if err != nil {
-					return fmt.Errorf("gogen: guard %q: %w", a.Edge.Guard, err)
+					return fmt.Errorf("gogen: guard %q: %w", a.Edge.Guard(), err)
 				}
 				if i == 0 {
-					f.line("if %s {", guard)
+					f.put("if ", guard, " {")
 				} else {
-					f.line("} else if %s {", guard)
+					f.put("} else if ", guard, " {")
 				}
 			}
 			if err := f.emitArm(a); err != nil {
@@ -102,12 +114,12 @@ func (f *goFlow) emit(r *uml.Region) error {
 	case uml.RegionWeighted:
 		var total float64
 		for _, a := range r.Arms {
-			total += a.Edge.Weight
+			total += a.Edge.Weight()
 		}
 		f.line("switch pmpR := prophetRand() * %g; { // weighted branch", total)
 		acc := 0.0
 		for i := range r.Arms {
-			acc += r.Arms[i].Edge.Weight
+			acc += r.Arms[i].Edge.Weight()
 			if i == len(r.Arms)-1 {
 				f.line("default:")
 			} else {
@@ -169,7 +181,7 @@ func (f *goFlow) emitAction(n *uml.ActionNode) error {
 		if !ok {
 			return fmt.Errorf("gogen: element %q was not declared", n.Name())
 		}
-		f.line("%s()", ident)
+		f.put(ident, "()")
 		return nil
 	}
 	tags, ok := profile.MessageTags(n.Stereotype())
@@ -187,15 +199,15 @@ func (f *goFlow) emitAction(n *uml.ActionNode) error {
 			args[i] = a
 		}
 	}
-	f.line("%s(%s)", shims[n.Stereotype()], strings.Join(args, ", "))
+	f.put(shims[n.Stereotype()], "(", strings.Join(args, ", "), ")")
 	return nil
 }
 
 func (f *goFlow) emitActivity(n *uml.ActivityNode) error {
-	f.line("// activity %s", n.Name())
-	body := f.model.DiagramByName(n.Body)
+	f.put("// activity ", n.Name())
+	body := f.model.DiagramByName(n.Body())
 	if body == nil {
-		return fmt.Errorf("gogen: activity %q references unknown diagram %q", n.Name(), n.Body)
+		return fmt.Errorf("gogen: activity %q references unknown diagram %q", n.Name(), n.Body())
 	}
 	if n.Stereotype() == profile.OMPParallel {
 		count := "int(1)"
@@ -230,18 +242,18 @@ func (f *goFlow) emitActivity(n *uml.ActivityNode) error {
 }
 
 func (f *goFlow) emitLoop(n *uml.LoopNode) error {
-	count, err := f.render(n.Count)
+	count, err := f.render(n.Count())
 	if err != nil {
 		return fmt.Errorf("gogen: loop %q count: %w", n.Name(), err)
 	}
-	v := n.Var
+	v := n.Var()
 	if v == "" {
 		f.loopSeq++
 		v = fmt.Sprintf("it%d", f.loopSeq)
 	}
-	body := f.model.DiagramByName(n.Body)
+	body := f.model.DiagramByName(n.Body())
 	if body == nil {
-		return fmt.Errorf("gogen: loop %q references unknown diagram %q", n.Name(), n.Body)
+		return fmt.Errorf("gogen: loop %q references unknown diagram %q", n.Name(), n.Body())
 	}
 	f.line("for %s := 0; %s < int(%s); %s++ { // loop %s", v, v, count, v, n.Name())
 	f.indent++

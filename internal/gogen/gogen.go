@@ -232,18 +232,18 @@ func emitBlockFuncs(gw *goWriter, perf []uml.Element, names map[string]string) {
 			continue
 		}
 		a := e.(*uml.ActionNode)
-		gw.line("// %s implements the code block modeled by element %s.", ident, a.Name())
-		if a.CostFunc != "" {
-			gw.line("// Modeled execution time: %s.", a.CostFunc)
+		gw.put("// ", ident, " implements the code block modeled by element ", a.Name(), ".")
+		if a.CostFunc() != "" {
+			gw.put("// Modeled execution time: ", a.CostFunc(), ".")
 		}
-		gw.line("func %s() {", ident)
-		if a.Code != "" {
-			for _, ln := range strings.Split(a.Code, "\n") {
-				gw.line("\t// %s", ln)
+		gw.put("func ", ident, "() {")
+		if a.Code() != "" {
+			for _, ln := range strings.Split(a.Code(), "\n") {
+				gw.put("\t// ", ln)
 			}
 		}
-		gw.line("\t// TODO: port the computation of block %s here.", a.Name())
-		gw.line("}")
+		gw.put("\t// TODO: port the computation of block ", a.Name(), " here.")
+		gw.put("}")
 		gw.blank()
 	}
 }
@@ -373,7 +373,22 @@ type goWriter struct {
 }
 
 func (w *goWriter) line(format string, args ...interface{}) {
-	fmt.Fprintf(&w.sb, format, args...)
+	// No line call passes a literal % verb without arguments, so argless
+	// formats bypass fmt.
+	if len(args) == 0 {
+		w.sb.WriteString(format)
+	} else {
+		fmt.Fprintf(&w.sb, format, args...)
+	}
+	w.sb.WriteByte('\n')
+}
+
+// put writes one line from its parts, without formatting: the
+// per-element lines go through here.
+func (w *goWriter) put(parts ...string) {
+	for _, p := range parts {
+		w.sb.WriteString(p)
+	}
 	w.sb.WriteByte('\n')
 }
 

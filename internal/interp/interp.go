@@ -153,19 +153,19 @@ func Compile(m *uml.Model, reg *profile.Registry) (*Program, error) {
 
 	for _, d := range m.Diagrams() {
 		for _, e := range d.Edges() {
-			if e.Guard == "" || e.IsElse() {
+			if e.Guard() == "" || e.IsElse() {
 				continue
 			}
-			c, err := compileSrc(e.Guard)
+			c, err := compileSrc(e.Guard())
 			if err != nil {
-				return nil, fmt.Errorf("interp: guard %q: %w", e.Guard, err)
+				return nil, fmt.Errorf("interp: guard %q: %w", e.Guard(), err)
 			}
 			pr.guards[e.ID()] = c
 		}
 		for _, n := range d.Nodes() {
 			switch x := n.(type) {
 			case *uml.ActionNode:
-				if src := costSource(x.CostFunc, x); src != "" {
+				if src := costSource(x.CostFunc(), x); src != "" {
 					if d, ok := parseDist(src); ok {
 						pr.distCosts[x.ID()] = d
 					} else {
@@ -176,7 +176,7 @@ func Compile(m *uml.Model, reg *profile.Registry) (*Program, error) {
 						pr.costs[x.ID()] = c
 					}
 				}
-				pr.code[x.ID()] = parseAssignments(x.Code)
+				pr.code[x.ID()] = parseAssignments(x.Code())
 				switch x.Stereotype() {
 				case profile.MPISend:
 					if err := compileTag(x, profile.TagDest, true); err != nil {
@@ -208,7 +208,7 @@ func Compile(m *uml.Model, reg *profile.Registry) (*Program, error) {
 					}
 				}
 			case *uml.ActivityNode:
-				if src := costSource(x.CostFunc, x); src != "" {
+				if src := costSource(x.CostFunc(), x); src != "" {
 					if d, ok := parseDist(src); ok {
 						pr.distCosts[x.ID()] = d
 					} else {
@@ -219,27 +219,27 @@ func Compile(m *uml.Model, reg *profile.Registry) (*Program, error) {
 						pr.costs[x.ID()] = c
 					}
 				}
-				pr.code[x.ID()] = parseAssignments(x.Code)
+				pr.code[x.ID()] = parseAssignments(x.Code())
 				if x.Stereotype() == profile.OMPParallel {
 					if err := compileTag(x, profile.TagCount, false); err != nil {
 						return nil, err
 					}
 				}
-				if x.Body != "" && m.DiagramByName(x.Body) == nil {
-					return nil, fmt.Errorf("interp: activity %q references unknown diagram %q", x.Name(), x.Body)
+				if x.Body() != "" && m.DiagramByName(x.Body()) == nil {
+					return nil, fmt.Errorf("interp: activity %q references unknown diagram %q", x.Name(), x.Body())
 				}
 			case *uml.LoopNode:
-				if d, ok := parseDist(x.Count); ok {
+				if d, ok := parseDist(x.Count()); ok {
 					pr.distCounts[x.ID()] = d
 				} else {
-					c, err := compileSrc(x.Count)
+					c, err := compileSrc(x.Count())
 					if err != nil {
 						return nil, fmt.Errorf("interp: loop %q count: %w", x.Name(), err)
 					}
 					pr.counts[x.ID()] = c
 				}
-				if m.DiagramByName(x.Body) == nil {
-					return nil, fmt.Errorf("interp: loop %q references unknown diagram %q", x.Name(), x.Body)
+				if m.DiagramByName(x.Body()) == nil {
+					return nil, fmt.Errorf("interp: loop %q references unknown diagram %q", x.Name(), x.Body())
 				}
 			}
 		}

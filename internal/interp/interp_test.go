@@ -73,7 +73,7 @@ func TestSampleElseBranch(t *testing.T) {
 	// Force GV <= 0: strip A1's code fragment so the override survives.
 	m := samples.Sample()
 	a1 := m.Main().NodeByName("A1").(*uml.ActionNode)
-	a1.Code = "P = 4;" // keep P but do not touch GV
+	a1.SetCode("P = 4;") // keep P but do not touch GV
 	res := run(t, m, Config{Globals: map[string]float64{"GV": -1}})
 	sum, err := trace.Summarize(res.Trace)
 	if err != nil {

@@ -417,7 +417,7 @@ func (fc *flowCtx) successor(d *uml.Diagram, n uml.Node) (uml.Node, error) {
 // decisions (no guards, positive weights).
 func (fc *flowCtx) branch(d *uml.Diagram, n *uml.ControlNode) (uml.Node, error) {
 	out := d.Outgoing(n.ID())
-	if len(out) > 0 && out[0].Guard == "" && out[0].Weight > 0 {
+	if len(out) > 0 && out[0].Guard() == "" && out[0].Weight() > 0 {
 		return fc.weightedBranch(d, n, out)
 	}
 	var elseEdge *uml.Edge
@@ -432,7 +432,7 @@ func (fc *flowCtx) branch(d *uml.Diagram, n *uml.ControlNode) (uml.Node, error) 
 		}
 		v, err := fc.eval(g)
 		if err != nil {
-			return nil, fmt.Errorf("interp: guard %q: %w", e.Guard, err)
+			return nil, fmt.Errorf("interp: guard %q: %w", e.Guard(), err)
 		}
 		if expr.Truthy(v) {
 			return d.Node(e.To()), nil
@@ -449,16 +449,16 @@ func (fc *flowCtx) branch(d *uml.Diagram, n *uml.ControlNode) (uml.Node, error) 
 func (fc *flowCtx) weightedBranch(d *uml.Diagram, n *uml.ControlNode, out []*uml.Edge) (uml.Node, error) {
 	var total float64
 	for _, e := range out {
-		if e.Guard != "" || e.Weight <= 0 {
+		if e.Guard() != "" || e.Weight() <= 0 {
 			return nil, fmt.Errorf("interp: diagram %q: decision %q mixes weighted and guarded branches",
 				d.Name(), n.Name())
 		}
-		total += e.Weight
+		total += e.Weight()
 	}
 	r := fc.rs.rng.Float64() * total
 	var acc float64
 	for _, e := range out {
-		acc += e.Weight
+		acc += e.Weight()
 		if r < acc {
 			return d.Node(e.To()), nil
 		}
@@ -627,9 +627,9 @@ func (fc *flowCtx) execActivity(n *uml.ActivityNode) error {
 	if n.Stereotype() == profile.OMPParallel {
 		return fc.parallelRegion(n)
 	}
-	body := fc.rs.pr.model.DiagramByName(n.Body)
+	body := fc.rs.pr.model.DiagramByName(n.Body())
 	if body == nil {
-		return fmt.Errorf("interp: activity %q references unknown diagram %q", n.Name(), n.Body)
+		return fmt.Errorf("interp: activity %q references unknown diagram %q", n.Name(), n.Body())
 	}
 	return fc.runDiagram(body)
 }
@@ -649,9 +649,9 @@ func (fc *flowCtx) parallelRegion(n *uml.ActivityNode) error {
 	if t < 1 {
 		t = 1
 	}
-	body := fc.rs.pr.model.DiagramByName(n.Body)
+	body := fc.rs.pr.model.DiagramByName(n.Body())
 	if body == nil {
-		return fmt.Errorf("interp: parallel region %q references unknown diagram %q", n.Name(), n.Body)
+		return fmt.Errorf("interp: parallel region %q references unknown diagram %q", n.Name(), n.Body())
 	}
 	join := fc.rs.eng.NewCounter("omp:"+n.ID(), t)
 	var firstErr error
@@ -685,11 +685,11 @@ func (fc *flowCtx) execLoop(n *uml.LoopNode) error {
 		return fmt.Errorf("interp: loop %q count: %w", n.Name(), err)
 	}
 	count := int(v)
-	body := fc.rs.pr.model.DiagramByName(n.Body)
+	body := fc.rs.pr.model.DiagramByName(n.Body())
 	if body == nil {
-		return fmt.Errorf("interp: loop %q references unknown diagram %q", n.Name(), n.Body)
+		return fmt.Errorf("interp: loop %q references unknown diagram %q", n.Name(), n.Body())
 	}
-	varName := n.Var
+	varName := n.Var()
 	var saved float64
 	var hadSaved bool
 	if varName != "" {

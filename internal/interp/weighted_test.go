@@ -122,7 +122,7 @@ func TestMixedWeightedGuardedRejected(t *testing.T) {
 	fin, _ := m.AddControl(d, "", uml.KindFinal)
 	d.Connect(ini.ID(), dec.ID(), "")
 	e1, _ := d.Connect(dec.ID(), a.ID(), "")
-	e1.Weight = 0.5
+	e1.SetWeight(0.5)
 	d.Connect(dec.ID(), bn.ID(), "GV > 0") // guarded: mixed!
 	d.Connect(a.ID(), fin.ID(), "")
 	d.Connect(bn.ID(), fin.ID(), "")

@@ -383,10 +383,16 @@ func (fr *frame) nextUID() {
 	fr.env.Locals[fr.rt.prog.lay.uidSlot] = float64(fr.rt.uid)
 }
 
+// emit records an event unless the run is untraced. The append is out of
+// line in record, so emit inlines into the run loop and an untraced run
+// pays one check per event.
 func (fr *frame) emit(kind trace.Kind, o *op) {
-	if fr.rt.noTrace {
-		return
+	if !fr.rt.noTrace {
+		fr.record(kind, o)
 	}
+}
+
+func (fr *frame) record(kind trace.Kind, o *op) {
 	fr.rt.trace.Append(trace.Event{
 		T: fr.rt.now(), PID: fr.pid, TID: fr.tid,
 		Kind: kind, Elem: o.id, Name: o.name,

@@ -51,7 +51,7 @@ func addForky(b *builder.ModelBuilder) {
 }
 
 // retarget points e at a node ID the diagram does not have, and drops the
-// diagram's derived flow graph, as every uml edit does. The uml API
+// model's memo of derived artifacts, as every uml edit does. The uml API
 // refuses such edges, but the runtimes still guard against them, and this
 // is the only way to reach that guard.
 func retarget(t *testing.T, e *uml.Edge, to string) {
@@ -64,8 +64,8 @@ func retarget(t *testing.T, e *uml.Edge, to string) {
 		return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
 	}
 	field(reflect.ValueOf(e), "to").SetString(to)
-	flow := field(reflect.ValueOf(e.Diagram()), "flow")
-	flow.Set(reflect.Zero(flow.Type()))
+	memo := field(reflect.ValueOf(e.Diagram().Model()), "memo")
+	memo.Set(reflect.Zero(memo.Type()))
 }
 
 // danglingNestedForkModel forks Lead and Busy. Lead's inner fork spawns

@@ -72,9 +72,9 @@ func cyclicCallGraph(m *uml.Model) bool {
 		for _, n := range d.Nodes() {
 			switch x := n.(type) {
 			case *uml.ActivityNode:
-				refs[d.Name()] = append(refs[d.Name()], x.Body)
+				refs[d.Name()] = append(refs[d.Name()], x.Body())
 			case *uml.LoopNode:
-				refs[d.Name()] = append(refs[d.Name()], x.Body)
+				refs[d.Name()] = append(refs[d.Name()], x.Body())
 			}
 		}
 	}

@@ -309,8 +309,8 @@ func buildLayout(parts interp.Parts) *layout {
 	}
 	for _, d := range m.Diagrams() {
 		for _, n := range d.Nodes() {
-			if ln, ok := n.(*uml.LoopNode); ok && ln.Var != "" {
-				addDyn(ln.Var)
+			if ln, ok := n.(*uml.LoopNode); ok && ln.Var() != "" {
+				addDyn(ln.Var())
 			}
 		}
 	}
@@ -545,19 +545,19 @@ func (b *segBuilder) branchTarget(e *uml.Edge) int {
 func (b *segBuilder) lowerDecision(n *uml.ControlNode) int {
 	out := b.d.Outgoing(n.ID())
 	pc := b.reserve(n.ID())
-	if len(out) > 0 && out[0].Guard == "" && out[0].Weight > 0 {
+	if len(out) > 0 && out[0].Guard() == "" && out[0].Weight() > 0 {
 		o := op{kind: opWeighted, id: n.ID(), name: n.Name(), next: -1}
 		for _, e := range out {
-			if e.Guard != "" || e.Weight <= 0 {
+			if e.Guard() != "" || e.Weight() <= 0 {
 				b.ops[pc] = op{kind: opError, next: -1, err: fmt.Errorf(
 					"lower: diagram %q: decision %q mixes weighted and guarded branches",
 					b.d.Name(), n.Name())}
 				return pc
 			}
-			o.total += e.Weight
+			o.total += e.Weight()
 		}
 		for _, e := range out {
-			o.weights = append(o.weights, e.Weight)
+			o.weights = append(o.weights, e.Weight())
 			o.targets = append(o.targets, b.branchTarget(e))
 		}
 		b.ops[pc] = o
@@ -581,7 +581,7 @@ func (b *segBuilder) lowerDecision(n *uml.ControlNode) int {
 		}
 		o.arms = append(o.arms, guardArm{
 			guard:  b.l.resolve(g),
-			src:    e.Guard,
+			src:    e.Guard(),
 			target: b.branchTarget(e),
 		})
 	}
@@ -678,15 +678,15 @@ func (b *segBuilder) lowerActivity(n *uml.ActivityNode) int {
 	if n.Stereotype() == profile.OMPParallel {
 		o.kind = opParallel
 		o.count = b.l.resolve(b.l.parts.Tags[n.ID()][profile.TagCount])
-		if idx, ok := b.l.diagSeg[n.Body]; ok && b.l.parts.Model.DiagramByName(n.Body) != nil {
+		if idx, ok := b.l.diagSeg[n.Body()]; ok && b.l.parts.Model.DiagramByName(n.Body()) != nil {
 			o.body = idx
 		} else {
-			o.bodyErr = fmt.Errorf("lower: parallel region %q references unknown diagram %q", n.Name(), n.Body)
+			o.bodyErr = fmt.Errorf("lower: parallel region %q references unknown diagram %q", n.Name(), n.Body())
 		}
-	} else if idx, ok := b.l.diagSeg[n.Body]; ok && b.l.parts.Model.DiagramByName(n.Body) != nil {
+	} else if idx, ok := b.l.diagSeg[n.Body()]; ok && b.l.parts.Model.DiagramByName(n.Body()) != nil {
 		o.body = idx
 	} else {
-		o.bodyErr = fmt.Errorf("lower: activity %q references unknown diagram %q", n.Name(), n.Body)
+		o.bodyErr = fmt.Errorf("lower: activity %q references unknown diagram %q", n.Name(), n.Body())
 	}
 	b.ops[pc] = o
 	b.ops[pc].next = b.succPC(n)
@@ -698,14 +698,14 @@ func (b *segBuilder) lowerLoop(n *uml.LoopNode) int {
 	o := op{kind: opLoop, id: n.ID(), name: n.Name(), next: -1, body: -1}
 	o.count = b.l.resolve(b.l.parts.Counts[n.ID()])
 	o.countDist = b.l.resolveDist(b.l.parts.DistCounts[n.ID()])
-	if idx, ok := b.l.diagSeg[n.Body]; ok {
+	if idx, ok := b.l.diagSeg[n.Body()]; ok {
 		o.body = idx
 	} else {
-		o.bodyErr = fmt.Errorf("lower: loop %q references unknown diagram %q", n.Name(), n.Body)
+		o.bodyErr = fmt.Errorf("lower: loop %q references unknown diagram %q", n.Name(), n.Body())
 	}
-	if n.Var != "" {
-		r := b.l.lay.rule(n.Var)
-		o.loopVar = lvar{name: n.Var, slot: r.Local, dyn: r.Kind == expr.SlotLocalDyn}
+	if n.Var() != "" {
+		r := b.l.lay.rule(n.Var())
+		o.loopVar = lvar{name: n.Var(), slot: r.Local, dyn: r.Kind == expr.SlotLocalDyn}
 	}
 	b.ops[pc] = o
 	b.ops[pc].next = b.succPC(n)

@@ -118,10 +118,10 @@ func (h *Handler) emitNode(n uml.Node) {
 	switch x := n.(type) {
 	case *uml.ActionNode:
 		var parts []string
-		if x.CostFunc != "" {
-			parts = append(parts, "T = "+code(x.CostFunc))
+		if x.CostFunc() != "" {
+			parts = append(parts, "T = "+code(x.CostFunc()))
 		}
-		if x.Code != "" {
+		if x.Code() != "" {
 			parts = append(parts, "has code fragment")
 		}
 		for _, tv := range n.Tags() {
@@ -133,14 +133,14 @@ func (h *Handler) emitNode(n uml.Node) {
 			details = strings.Join(parts, ", ")
 		}
 	case *uml.ActivityNode:
-		details = "content: " + x.Body
-		if x.CostFunc != "" {
-			details += ", T = " + code(x.CostFunc)
+		details = "content: " + x.Body()
+		if x.CostFunc() != "" {
+			details += ", T = " + code(x.CostFunc())
 		}
 	case *uml.LoopNode:
-		details = fmt.Sprintf("repeats %s × %s", x.Body, code(x.Count))
-		if x.Var != "" {
-			details += ", variable " + code(x.Var)
+		details = fmt.Sprintf("repeats %s × %s", x.Body(), code(x.Count()))
+		if x.Var() != "" {
+			details += ", variable " + code(x.Var())
 		}
 	}
 	fmt.Fprintf(&h.sb, "| %s | %s | %s | %s |\n", name, n.Kind(), st, details)
@@ -158,10 +158,10 @@ func (h *Handler) emitEdges() {
 		to := h.nodeLabel(e.To())
 		label := ""
 		switch {
-		case e.Guard != "":
-			label = " [" + e.Guard + "]"
-		case e.Weight > 0:
-			label = fmt.Sprintf(" (p=%g)", e.Weight)
+		case e.Guard() != "":
+			label = " [" + e.Guard() + "]"
+		case e.Weight() > 0:
+			label = fmt.Sprintf(" (p=%g)", e.Weight())
 		}
 		parts = append(parts, fmt.Sprintf("%s → %s%s", from, to, label))
 	}

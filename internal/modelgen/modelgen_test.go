@@ -70,10 +70,10 @@ func TestAllNodeKindsReachable(t *testing.T) {
 	guarded, weighted := false, false
 	for _, d := range m.Diagrams() {
 		for _, e := range d.Edges() {
-			if e.Guard != "" {
+			if e.Guard() != "" {
 				guarded = true
 			}
-			if e.Weight > 0 {
+			if e.Weight() > 0 {
 				weighted = true
 			}
 		}

@@ -11,8 +11,9 @@ import (
 // session. It is initialized with the standard performance profile and may
 // be extended with user-defined stereotypes.
 type Registry struct {
-	byName map[string]*Stereotype
-	order  []string
+	byName  map[string]*Stereotype
+	order   []string
+	version uint64
 }
 
 // NewRegistry returns a registry pre-loaded with the standard profile.
@@ -38,8 +39,13 @@ func (r *Registry) Register(s *Stereotype) error {
 	}
 	r.byName[s.Name] = s
 	r.order = append(r.order, s.Name)
+	r.version++
 	return nil
 }
+
+// Version counts the registrations so far: what a registry says about an
+// element can change only when it does.
+func (r *Registry) Version() uint64 { return r.version }
 
 // Lookup returns the stereotype definition for a name.
 func (r *Registry) Lookup(name string) (*Stereotype, bool) {

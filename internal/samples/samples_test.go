@@ -27,17 +27,17 @@ func TestSampleShape(t *testing.T) {
 		}
 	}
 	a1 := m.Main().NodeByName("A1").(*uml.ActionNode)
-	if a1.Code == "" {
+	if a1.Code() == "" {
 		t.Error("A1 should carry the Figure 7b code fragment")
 	}
 	sa := m.Main().NodeByName("SA").(*uml.ActivityNode)
-	if sa.Body != "SA" {
-		t.Errorf("SA body = %q", sa.Body)
+	if sa.Body() != "SA" {
+		t.Errorf("SA body = %q", sa.Body())
 	}
 	// Branch structure: decision with GV > 0 and else.
 	dec := m.Main().NodeByName("decision")
 	out := m.Main().Outgoing(dec.ID())
-	if len(out) != 2 || out[0].Guard != "GV > 0" || !out[1].IsElse() {
+	if len(out) != 2 || out[0].Guard() != "GV > 0" || !out[1].IsElse() {
 		t.Errorf("branch structure wrong")
 	}
 }
@@ -48,8 +48,8 @@ func TestKernel6Shape(t *testing.T) {
 		t.Errorf("collapsed kernel6 should have one action")
 	}
 	k := m.Main().NodeByName("Kernel6").(*uml.ActionNode)
-	if k.CostFunc != "FK6()" {
-		t.Errorf("cost = %q", k.CostFunc)
+	if k.CostFunc() != "FK6()" {
+		t.Errorf("cost = %q", k.CostFunc())
 	}
 	if _, ok := m.Function("FK6"); !ok {
 		t.Error("FK6 missing")
@@ -73,7 +73,7 @@ func TestKernel6DetailedShape(t *testing.T) {
 		t.Errorf("loop nodes = %d, want 3 (L, i, k)", loops)
 	}
 	w := m.DiagramByName("body").NodeByName("W").(*uml.ActionNode)
-	if w.Code == "" {
+	if w.Code() == "" {
 		t.Error("W should carry the kernel statement as code fragment")
 	}
 }
@@ -121,7 +121,7 @@ func TestJacobiShape(t *testing.T) {
 		}
 	}
 	lp := m.Main().NodeByName("Iterate").(*uml.LoopNode)
-	if lp.Count != "iters" || lp.Body != "step" {
+	if lp.Count() != "iters" || lp.Body() != "step" {
 		t.Errorf("iterate loop wrong: %+v", lp)
 	}
 	for _, fn := range []string{"FCompute", "FResidual"} {
@@ -145,8 +145,8 @@ func TestOmpRegionShape(t *testing.T) {
 	if crit == nil || crit.Stereotype() != "omp_critical" {
 		t.Errorf("critical node wrong: %v", crit)
 	}
-	if crit.(*uml.ActionNode).CostFunc != "critical" {
-		t.Errorf("critical cost = %q", crit.(*uml.ActionNode).CostFunc)
+	if crit.(*uml.ActionNode).CostFunc() != "critical" {
+		t.Errorf("critical cost = %q", crit.(*uml.ActionNode).CostFunc())
 	}
 }
 

@@ -49,8 +49,8 @@ func mutateCost(t *testing.T, m *uml.Model) {
 	t.Helper()
 	for _, d := range m.Diagrams() {
 		for _, n := range d.Nodes() {
-			if a, ok := n.(*uml.ActionNode); ok && a.CostFunc != "" {
-				a.CostFunc += "+0"
+			if a, ok := n.(*uml.ActionNode); ok && a.CostFunc() != "" {
+				a.SetCostFunc(a.CostFunc() + "+0")
 				return
 			}
 		}

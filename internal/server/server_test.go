@@ -127,8 +127,8 @@ func TestInlineModelTooDeepExpression(t *testing.T) {
 		m := samples.Sample()
 		for _, d := range m.Diagrams() {
 			for _, n := range d.Nodes() {
-				if a, ok := n.(*uml.ActionNode); ok && a.CostFunc != "" {
-					a.CostFunc = cost
+				if a, ok := n.(*uml.ActionNode); ok && a.CostFunc() != "" {
+					a.SetCostFunc(cost)
 				}
 			}
 		}

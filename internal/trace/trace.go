@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,8 +83,15 @@ func (tr *Trace) GetMeta(key string) (string, bool) {
 	return "", false
 }
 
-// Append records an event.
-func (tr *Trace) Append(ev Event) { tr.Events = append(tr.Events, ev) }
+// Append records an event. A full slice doubles: append alone grows a
+// large slice by about a quarter at a time, which allocates several times
+// the final size over a long run.
+func (tr *Trace) Append(ev Event) {
+	if len(tr.Events) == cap(tr.Events) {
+		tr.Events = slices.Grow(tr.Events, max(len(tr.Events), 16))
+	}
+	tr.Events = append(tr.Events, ev)
+}
 
 // Makespan returns the time of the last event (0 for an empty trace).
 func (tr *Trace) Makespan() float64 {

@@ -13,6 +13,8 @@ type SizeHint struct {
 	Loops      int
 	Controls   int
 	Edges      int
+	Variables  int
+	Functions  int
 }
 
 // nodes returns the total node count implied by the hint.
@@ -95,6 +97,14 @@ func (m *Model) Preallocate(h SizeHint) {
 	}
 	if m.byName == nil {
 		m.byName = make(map[string]*Diagram, h.Diagrams)
+	}
+	if m.vars == nil {
+		m.vars = make(map[varKey]int, h.Variables)
+		m.variables = make([]Variable, 0, h.Variables)
+	}
+	if m.funcs == nil {
+		m.funcs = make(map[string]int, h.Functions)
+		m.functions = make([]Function, 0, h.Functions)
 	}
 	if free := cap(m.diagrams) - len(m.diagrams); free < h.Diagrams {
 		grown := make([]*Diagram, len(m.diagrams), len(m.diagrams)+h.Diagrams)

@@ -98,12 +98,32 @@ func TestDiagramByNameIndexSurvivesRename(t *testing.T) {
 	if got := m.DiagramByName("first"); got != nil {
 		t.Fatalf("stale index returned %q for old name", got.Name())
 	}
-	if got := m.DiagramByName("renamed"); got != d1 {
-		t.Fatal("fallback scan missed renamed diagram")
-	}
-	// The repaired index must answer again without a scan being needed.
 	if got := m.byName["renamed"]; got != d1 {
-		t.Fatal("fallback did not repair the index")
+		t.Fatal("rename did not update the index")
+	}
+}
+
+// With two diagrams of one name (only a rename can make them), lookup
+// returns the first in insertion order, and the other takes over when
+// the first is renamed away.
+func TestDiagramByNameNamesakes(t *testing.T) {
+	m := NewModel("namesakes")
+	d1, _ := m.AddDiagram("a")
+	d2, _ := m.AddDiagram("b")
+	d2.SetName("a")
+	if got := m.DiagramByName("a"); got != d1 {
+		t.Fatal("a later namesake displaced the first")
+	}
+	if got := m.DiagramByName("b"); got != nil {
+		t.Fatal("old name still indexed")
+	}
+	d1.SetName("c")
+	if got := m.DiagramByName("a"); got != d2 {
+		t.Fatal("the namesake did not take over")
+	}
+	d1.SetName("a")
+	if got := m.DiagramByName("a"); got != d1 {
+		t.Fatal("the first diagram did not take its name back")
 	}
 }
 

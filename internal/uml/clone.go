@@ -10,12 +10,15 @@ func Clone(m *Model) *Model {
 	cloneBaseInto(&out.base, &m.base)
 	out.seq = m.seq
 	for _, v := range m.variables {
-		out.variables = append(out.variables, v)
+		if err := out.AddVariable(v); err != nil {
+			panic("uml: Clone: " + err.Error())
+		}
 	}
 	for _, f := range m.functions {
-		nf := f
-		nf.Params = append([]Param(nil), f.Params...)
-		out.functions = append(out.functions, nf)
+		f.Params = append([]Param(nil), f.Params...)
+		if err := out.AddFunction(f); err != nil {
+			panic("uml: Clone: " + err.Error())
+		}
 	}
 	for _, d := range m.diagrams {
 		nd, err := out.AddDiagram(d.Name())
@@ -30,22 +33,22 @@ func Clone(m *Model) *Model {
 			case *ActionNode:
 				cp = &ActionNode{
 					nodeBase: nodeBase{base: newBase(src.ID(), src.Name(), src.Kind())},
-					Code:     src.Code,
-					CostFunc: src.CostFunc,
+					code:     src.code,
+					costFunc: src.costFunc,
 				}
 			case *ActivityNode:
 				cp = &ActivityNode{
 					nodeBase: nodeBase{base: newBase(src.ID(), src.Name(), src.Kind())},
-					Body:     src.Body,
-					Code:     src.Code,
-					CostFunc: src.CostFunc,
+					body:     src.body,
+					code:     src.code,
+					costFunc: src.costFunc,
 				}
 			case *LoopNode:
 				cp = &LoopNode{
 					nodeBase: nodeBase{base: newBase(src.ID(), src.Name(), src.Kind())},
-					Count:    src.Count,
-					Body:     src.Body,
-					Var:      src.Var,
+					count:    src.count,
+					body:     src.body,
+					loopVar:  src.loopVar,
 				}
 			case *ControlNode:
 				cp = &ControlNode{nodeBase: nodeBase{base: newBase(src.ID(), src.Name(), src.Kind())}}
@@ -58,11 +61,11 @@ func Clone(m *Model) *Model {
 			}
 		}
 		for _, e := range d.Edges() {
-			ne, err := nd.Connect(e.From(), e.To(), e.Guard)
+			ne, err := nd.Connect(e.from, e.to, e.guard)
 			if err != nil {
 				panic("uml: Clone: " + err.Error())
 			}
-			ne.Weight = e.Weight
+			ne.weight = e.weight
 			copyAnnotations(ne, e)
 		}
 	}

@@ -41,7 +41,7 @@ func TestCloneIsDeep(t *testing.T) {
 	a1 := cd.NodeByName("A1").(*ActionNode)
 	a1.SetName("renamed")
 	a1.SetTag("time", "42")
-	a1.CostFunc = "FX()"
+	a1.SetCostFunc("FX()")
 	oa1 := orig.Main().NodeByName("A1")
 	if oa1 == nil {
 		t.Fatal("original lost its A1 after clone mutation")
@@ -49,7 +49,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if _, ok := oa1.Tag("time"); ok {
 		t.Errorf("tag mutation leaked into original")
 	}
-	if oa1.(*ActionNode).CostFunc != "FA1()" {
+	if oa1.(*ActionNode).CostFunc() != "FA1()" {
 		t.Errorf("cost function mutation leaked into original")
 	}
 
@@ -67,21 +67,21 @@ func TestClonePreservesActivityBodiesAndLoops(t *testing.T) {
 	main, _ := m.AddDiagram("main")
 	body, _ := m.AddDiagram("body")
 	lp, _ := m.AddLoop(main, "", "L", "M", "body")
-	lp.Var = "i"
+	lp.SetVar("i")
 	lp.SetStereotype("loop+")
 	k, _ := m.AddAction(body, "", "K")
-	k.Code = "W(i) = W(i) + B(i,k)*W(i-k)"
+	k.SetCode("W(i) = W(i) + B(i,k)*W(i-k)")
 
 	cp := Clone(m)
 	cl := cp.Main().NodeByName("L").(*LoopNode)
-	if cl.Count != "M" || cl.Body != "body" || cl.Var != "i" {
+	if cl.Count() != "M" || cl.Body() != "body" || cl.Var() != "i" {
 		t.Errorf("loop fields not cloned: %+v", cl)
 	}
 	if cl.Stereotype() != "loop+" {
 		t.Errorf("loop stereotype not cloned")
 	}
 	ck := cp.DiagramByName("body").NodeByName("K").(*ActionNode)
-	if ck.Code != k.Code {
+	if ck.Code() != k.Code() {
 		t.Errorf("action code not cloned")
 	}
 }
@@ -92,12 +92,12 @@ func TestClonePreservesEdgeAnnotations(t *testing.T) {
 	a, _ := m.AddAction(d, "", "A")
 	b, _ := m.AddAction(d, "", "B")
 	e, _ := d.Connect(a.ID(), b.ID(), "GV > 0")
-	e.Weight = 0.25
+	e.SetWeight(0.25)
 	e.SetTag("prob", "0.25")
 
 	cp := Clone(m)
 	ce := cp.Main().Edges()[0]
-	if ce.Guard != "GV > 0" || ce.Weight != 0.25 {
+	if ce.Guard() != "GV > 0" || ce.Weight() != 0.25 {
 		t.Errorf("edge guard/weight not cloned: %+v", ce)
 	}
 	if v, ok := ce.Tag("prob"); !ok || v != "0.25" {

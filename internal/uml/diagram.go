@@ -3,7 +3,6 @@ package uml
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
 )
 
 // Diagram is a UML activity diagram: an ordered collection of nodes and
@@ -12,7 +11,7 @@ import (
 // element is itself described by a diagram (Section 4).
 type Diagram struct {
 	base
-	model *Model
+	idx   int32 // position in the model's diagrams
 	nodes []Node
 	edges []*Edge
 
@@ -22,14 +21,21 @@ type Diagram struct {
 	pos map[string]int32
 	out [][]*Edge
 	in  [][]*Edge
-
-	// flow is the derived flow graph (flow.go), built on first use and
-	// dropped by every change to the nodes or edges.
-	flow atomic.Pointer[flowGraph]
 }
 
 // Model returns the owning model.
 func (d *Diagram) Model() *Model { return d.model }
+
+// Owner returns the owning model.
+func (d *Diagram) Owner() Element { return d.model }
+
+// SetName renames the diagram. Activities and loops that named it as
+// their body keep the old name.
+func (d *Diagram) SetName(name string) {
+	old := d.name
+	d.base.SetName(name)
+	d.model.renamed(d, old)
+}
 
 // Nodes returns the diagram's nodes in insertion order. The returned slice
 // must not be modified.
@@ -45,12 +51,10 @@ func (d *Diagram) addNode(n Node) error {
 	if id == "" {
 		return fmt.Errorf("uml: node %q has empty ID", n.Name())
 	}
-	if d.model != nil {
-		if _, dup := d.model.byID[id]; dup {
-			return fmt.Errorf("uml: duplicate element ID %q", id)
-		}
-		d.model.byID[id] = n
+	if _, dup := d.model.byID[id]; dup {
+		return fmt.Errorf("uml: duplicate element ID %q", id)
 	}
+	d.model.byID[id] = n
 	if d.pos == nil {
 		d.pos = make(map[string]int32)
 	}
@@ -58,9 +62,8 @@ func (d *Diagram) addNode(n Node) error {
 	d.nodes = append(d.nodes, n)
 	d.out = append(d.out, nil)
 	d.in = append(d.in, nil)
-	d.flow.Store(nil)
 	n.setDiagram(d)
-	n.setOwner(d)
+	d.model.changed()
 	return nil
 }
 
@@ -94,25 +97,18 @@ func (d *Diagram) Connect(fromID, toID, guard string) (*Edge, error) {
 		return nil, fmt.Errorf("uml: diagram %q: edge target %q not found", d.Name(), toID)
 	}
 	id := d.ID() + ".e" + strconv.Itoa(len(d.edges)+1)
-	var e *Edge
-	if d.model != nil {
-		e = d.model.arena.edge()
-	} else {
-		e = &Edge{}
-	}
+	e := d.model.arena.edge()
 	e.base = newBase(id, "", KindEdge)
+	e.model = d.model
 	e.from = fromID
 	e.to = toID
-	e.Guard = guard
+	e.guard = guard
 	e.diagram = d
-	e.setOwner(d)
 	d.edges = append(d.edges, e)
 	d.out[from] = append(d.out[from], e)
 	d.in[to] = append(d.in[to], e)
-	d.flow.Store(nil)
-	if d.model != nil {
-		d.model.byID[id] = e
-	}
+	d.model.byID[id] = e
+	d.model.changed()
 	return e, nil
 }
 

@@ -12,4 +12,12 @@
 // Elements are identified by string IDs that are unique within a model.
 // Tagged values are stored as strings, mirroring the way UML tools persist
 // metaattributes; typed accessors are provided for the common cases.
+//
+// Every change to a model goes through a method, so a model knows when it
+// changes. What readers derive from it (each diagram's flow graph and
+// region tree, and artifacts other packages key through Model.Memo, such
+// as the checker's report) is built once per state of the model, shared
+// by concurrent readers, and dropped whole by the next mutation.
+// Concurrent readers are safe; a mutation concurrent with anything else is
+// not.
 package uml

@@ -45,11 +45,11 @@ type Element interface {
 	AddConstraint(string)
 	// Owner returns the owning element (nil for the model root).
 	Owner() Element
-	// setOwner is used internally when the element is added to the tree.
-	setOwner(Element)
 }
 
-// base carries the state shared by every element implementation.
+// base carries the state shared by every element implementation. model
+// is the model the element belongs to, nil until it is added to one; every
+// mutator reports the change to it (Model.changed).
 type base struct {
 	id          string
 	name        string
@@ -57,19 +57,27 @@ type base struct {
 	stereotype  string
 	tags        map[string]string
 	constraints []string
-	owner       Element
+	model       *Model
 }
 
 func newBase(id, name string, kind Kind) base {
 	return base{id: id, name: name, kind: kind}
 }
 
-func (b *base) ID() string             { return b.id }
-func (b *base) Name() string           { return b.name }
-func (b *base) SetName(n string)       { b.name = n }
-func (b *base) Kind() Kind             { return b.kind }
-func (b *base) Stereotype() string     { return b.stereotype }
-func (b *base) SetStereotype(s string) { b.stereotype = s }
+func (b *base) ID() string         { return b.id }
+func (b *base) Name() string       { return b.name }
+func (b *base) Kind() Kind         { return b.kind }
+func (b *base) Stereotype() string { return b.stereotype }
+
+func (b *base) SetName(n string) {
+	b.name = n
+	b.model.changed()
+}
+
+func (b *base) SetStereotype(s string) {
+	b.stereotype = s
+	b.model.changed()
+}
 
 func (b *base) Tag(name string) (string, bool) {
 	v, ok := b.tags[name]
@@ -81,9 +89,13 @@ func (b *base) SetTag(name, value string) {
 		b.tags = make(map[string]string)
 	}
 	b.tags[name] = value
+	b.model.changed()
 }
 
-func (b *base) DeleteTag(name string) { delete(b.tags, name) }
+func (b *base) DeleteTag(name string) {
+	delete(b.tags, name)
+	b.model.changed()
+}
 
 func (b *base) Tags() []TaggedValue {
 	out := make([]TaggedValue, 0, len(b.tags))
@@ -100,10 +112,13 @@ func (b *base) Constraints() []string {
 	return out
 }
 
-func (b *base) AddConstraint(c string) { b.constraints = append(b.constraints, c) }
+func (b *base) AddConstraint(c string) {
+	b.constraints = append(b.constraints, c)
+	b.model.changed()
+}
 
-func (b *base) Owner() Element     { return b.owner }
-func (b *base) setOwner(o Element) { b.owner = o }
+// Owner of the model root; diagrams, nodes and edges override it.
+func (b *base) Owner() Element { return nil }
 
 // TagFloat returns the tagged value for name parsed as float64.
 // It returns (0, false) when the tag is absent or not numeric.

@@ -2,10 +2,10 @@ package uml
 
 // Retarget points e at to, which the diagram need not contain: the
 // dangling edges that Connect refuses to create. Like Connect, it drops
-// the diagram's derived flow graph.
+// the model's memo of derived artifacts.
 func Retarget(e *Edge, to string) {
 	e.to = to
-	e.diagram.flow.Store(nil)
+	e.model.changed()
 }
 
 // BFSConvergence is the reference answer that Diagram.Convergence is

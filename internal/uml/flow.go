@@ -20,15 +20,12 @@ type flowGraph struct {
 	fromInitial []bool
 }
 
-// graph returns the diagram's flow graph, building it on first use.
-// Concurrent readers may each build an equal graph; one is kept.
+// graph returns the diagram's flow graph from the model's memo, building
+// it on first use.
 func (d *Diagram) graph() *flowGraph {
-	if g := d.flow.Load(); g != nil {
-		return g
-	}
-	g := buildFlow(d)
-	d.flow.Store(g)
-	return g
+	dm := d.memo()
+	dm.flowOnce.Do(func() { dm.flow = buildFlow(d) })
+	return dm.flow
 }
 
 // Convergence returns the node where the branches leaving n close: its

@@ -3,6 +3,7 @@ package uml
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 )
 
 // Model is the root of the element tree: it owns the diagrams, the global
@@ -17,14 +18,26 @@ type Model struct {
 
 	main   string // name of the main diagram, defaults to the first added
 	byID   map[string]Element
-	byName map[string]*Diagram // diagram lookup; verified on hit, names can change
+	byName map[string]*Diagram // the first diagram of each name; Diagram.SetName keeps it exact
+	vars   map[varKey]int      // index in variables
+	funcs  map[string]int      // index in functions
 	seq    int
 	arena  *arena // slab allocator primed by Preallocate; nil falls back to new
+
+	// memo holds the artifacts derived from the model (memo.go), nil
+	// until first asked for and after every mutation.
+	memo atomic.Pointer[memo]
+}
+
+type varKey struct {
+	name  string
+	scope VarScope
 }
 
 // NewModel creates an empty model with the given name.
 func NewModel(name string) *Model {
 	m := &Model{base: newBase("model", name, KindModel)}
+	m.base.model = m
 	m.byID = map[string]Element{"model": m}
 	return m
 }
@@ -51,8 +64,8 @@ func (m *Model) AddDiagram(name string) (*Diagram, error) {
 	if _, taken := m.byID[id]; taken {
 		id = m.NewID()
 	}
-	d := &Diagram{base: newBase(id, name, KindDiagram), model: m}
-	d.setOwner(m)
+	d := &Diagram{base: newBase(id, name, KindDiagram), idx: int32(len(m.diagrams))}
+	d.model = m
 	m.diagrams = append(m.diagrams, d)
 	m.byID[id] = d
 	if m.byName == nil {
@@ -62,30 +75,32 @@ func (m *Model) AddDiagram(name string) (*Diagram, error) {
 	if m.main == "" {
 		m.main = name
 	}
+	m.changed()
 	return d, nil
 }
 
-// Diagrams returns the model's diagrams in insertion order.
+// Diagrams returns the model's diagrams in insertion order. The returned
+// slice must not be modified.
 func (m *Model) Diagrams() []*Diagram { return m.diagrams }
 
-// DiagramByName returns the diagram with the given name, or nil. Lookups
-// are indexed; because SetName can change a diagram's name behind the
-// index, a hit is verified and a miss falls back to a scan that repairs
-// the index entry.
-func (m *Model) DiagramByName(name string) *Diagram {
-	if d, ok := m.byName[name]; ok && d.Name() == name {
-		return d
-	}
-	for _, d := range m.diagrams {
-		if d.Name() == name {
-			if m.byName == nil {
-				m.byName = make(map[string]*Diagram)
+// DiagramByName returns the first diagram, in insertion order, with the
+// given name, or nil.
+func (m *Model) DiagramByName(name string) *Diagram { return m.byName[name] }
+
+// renamed moves d in the name index from old to its current name.
+func (m *Model) renamed(d *Diagram, old string) {
+	if m.byName[old] == d {
+		delete(m.byName, old)
+		for _, o := range m.diagrams[d.idx+1:] { // a later namesake takes over
+			if o.name == old {
+				m.byName[old] = o
+				break
 			}
-			m.byName[name] = d
-			return d
 		}
 	}
-	return nil
+	if have, ok := m.byName[d.name]; !ok || have.idx > d.idx {
+		m.byName[d.name] = d
+	}
 }
 
 // SetMain designates the main diagram, i.e. the one whose flow the generated
@@ -95,6 +110,7 @@ func (m *Model) SetMain(name string) error {
 		return fmt.Errorf("uml: no diagram named %q", name)
 	}
 	m.main = name
+	m.changed()
 	return nil
 }
 
@@ -114,19 +130,24 @@ func (m *Model) AddVariable(v Variable) error {
 	if v.Name == "" {
 		return fmt.Errorf("uml: variable with empty name")
 	}
-	for _, have := range m.variables {
-		if have.Name == v.Name && have.Scope == v.Scope {
-			return fmt.Errorf("uml: duplicate %s variable %q", v.Scope, v.Name)
-		}
+	k := varKey{v.Name, v.Scope}
+	if _, dup := m.vars[k]; dup {
+		return fmt.Errorf("uml: duplicate %s variable %q", v.Scope, v.Name)
 	}
 	if v.Type == "" {
 		v.Type = "double"
 	}
+	if m.vars == nil {
+		m.vars = make(map[varKey]int)
+	}
+	m.vars[k] = len(m.variables)
 	m.variables = append(m.variables, v)
+	m.changed()
 	return nil
 }
 
-// Variables returns every model variable in declaration order.
+// Variables returns every model variable in declaration order. The
+// returned slice must not be modified.
 func (m *Model) Variables() []Variable { return m.variables }
 
 // VariablesIn returns the variables of one scope, in declaration order.
@@ -144,10 +165,8 @@ func (m *Model) VariablesIn(scope VarScope) []Variable {
 // locals) and whether it exists.
 func (m *Model) Variable(name string) (Variable, bool) {
 	for _, scope := range []VarScope{ScopeGlobal, ScopeLocal} {
-		for _, v := range m.variables {
-			if v.Name == name && v.Scope == scope {
-				return v, true
-			}
+		if i, ok := m.vars[varKey{name, scope}]; ok {
+			return m.variables[i], true
 		}
 	}
 	return Variable{}, false
@@ -158,23 +177,27 @@ func (m *Model) AddFunction(f Function) error {
 	if f.Name == "" {
 		return fmt.Errorf("uml: function with empty name")
 	}
-	if _, dup := m.Function(f.Name); dup {
+	if _, dup := m.funcs[f.Name]; dup {
 		return fmt.Errorf("uml: duplicate function %q", f.Name)
 	}
+	if m.funcs == nil {
+		m.funcs = make(map[string]int)
+	}
+	m.funcs[f.Name] = len(m.functions)
 	m.functions = append(m.functions, f)
+	m.changed()
 	return nil
 }
 
 // Functions returns every cost-function definition in declaration order.
+// The returned slice must not be modified.
 func (m *Model) Functions() []Function { return m.functions }
 
 // Function returns the cost function with the given name and whether it
 // exists.
 func (m *Model) Function(name string) (Function, bool) {
-	for _, f := range m.functions {
-		if f.Name == name {
-			return f, true
-		}
+	if i, ok := m.funcs[name]; ok {
+		return m.functions[i], true
 	}
 	return Function{}, false
 }
@@ -203,7 +226,7 @@ func (m *Model) AddActivity(d *Diagram, id, name, body string) (*ActivityNode, e
 	}
 	n := m.arena.activity()
 	n.nodeBase = nodeBase{base: newBase(id, name, KindActivity)}
-	n.Body = body
+	n.body = body
 	if err := d.addNode(n); err != nil {
 		return nil, err
 	}
@@ -234,8 +257,8 @@ func (m *Model) AddLoop(d *Diagram, id, name, count, body string) (*LoopNode, er
 	}
 	n := m.arena.loop()
 	n.nodeBase = nodeBase{base: newBase(id, name, KindLoop)}
-	n.Count = count
-	n.Body = body
+	n.count = count
+	n.body = body
 	if err := d.addNode(n); err != nil {
 		return nil, err
 	}

@@ -149,13 +149,13 @@ func TestConnectAndAdjacency(t *testing.T) {
 	if got := d.Incoming("a1"); len(got) != 1 || got[0] != e1 {
 		t.Errorf("Incoming(a1) wrong: %v", got)
 	}
-	if e2.Guard != "GV > 0" {
+	if e2.Guard() != "GV > 0" {
 		t.Errorf("guard not preserved")
 	}
 	if e2.IsElse() {
 		t.Errorf("non-else edge reported as else")
 	}
-	e2.Guard = "else"
+	e2.SetGuard("else")
 	if !e2.IsElse() {
 		t.Errorf("else edge not recognized")
 	}
@@ -260,14 +260,14 @@ func TestActivityAndLoopNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.Body != "SA" || sa.Kind() != KindActivity {
+	if sa.Body() != "SA" || sa.Kind() != KindActivity {
 		t.Errorf("activity node wrong: %+v", sa)
 	}
 	lp, err := m.AddLoop(d, "", "L", "M", "body")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lp.Count != "M" || lp.Body != "body" || lp.Kind() != KindLoop {
+	if lp.Count() != "M" || lp.Body() != "body" || lp.Kind() != KindLoop {
 		t.Errorf("loop node wrong: %+v", lp)
 	}
 }

@@ -57,9 +57,17 @@ type Arm struct {
 	Body Region
 }
 
-// Regions builds the region tree of d, from its initial node to its final
-// node(s). A diagram without nodes yields an empty sequence.
+// Regions returns the region tree of d, from its initial node to its
+// final node(s), built once per state of the model and shared: callers
+// must not modify it. A diagram without nodes yields an empty sequence.
 func (d *Diagram) Regions() Region {
+	dm := d.memo()
+	dm.regionOnce.Do(func() { dm.regions = d.buildRegions() })
+	return dm.regions
+}
+
+// buildRegions builds the region tree of d.
+func (d *Diagram) buildRegions() Region {
 	root := Region{Kind: RegionSeq}
 	ini := d.Initial()
 	if ini == nil {
@@ -162,7 +170,7 @@ func (b *regionBuilder) split(parent *Region, n *ControlNode) (Node, *FlowError)
 	what, branch := "fork", "fork"
 	if n.Kind() == KindDecision {
 		r.Kind, what, branch = RegionGuarded, "decision", "branch"
-		if len(out) > 0 && out[0].Guard == "" && out[0].Weight > 0 {
+		if len(out) > 0 && out[0].guard == "" && out[0].weight > 0 {
 			r.Kind = RegionWeighted
 		}
 	}
@@ -175,7 +183,7 @@ func (b *regionBuilder) split(parent *Region, n *ControlNode) (Node, *FlowError)
 	for _, e := range out {
 		switch {
 		case r.Kind == RegionWeighted:
-			if e.Guard != "" || e.Weight <= 0 {
+			if e.guard != "" || e.weight <= 0 {
 				return nil, b.errorf("decision %q mixes weighted and guarded branches", n.Name())
 			}
 		case r.Kind == RegionFork:
@@ -184,7 +192,7 @@ func (b *regionBuilder) split(parent *Region, n *ControlNode) (Node, *FlowError)
 				return nil, b.errorf("decision %q has two else branches", n.Name())
 			}
 			elseEdge = e
-		case e.Guard == "":
+		case e.guard == "":
 			return nil, b.errorf("unguarded branch out of decision %q", n.Name())
 		}
 	}

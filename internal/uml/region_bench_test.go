@@ -54,7 +54,7 @@ func BenchmarkRegionsChained(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.flow.Store(nil)
+		d.model.changed()
 		if r := d.Regions(); len(r.Items) != 1999 {
 			b.Fatalf("%d top-level regions, want 1999", len(r.Items))
 		}

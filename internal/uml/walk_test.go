@@ -26,17 +26,17 @@ func buildSampleModel(t *testing.T) *Model {
 	ini, _ := m.AddControl(main, "", KindInitial)
 	a1, _ := m.AddAction(main, "", "A1")
 	a1.SetStereotype("action+")
-	a1.CostFunc = "FA1()"
+	a1.SetCostFunc("FA1()")
 	dec, _ := m.AddControl(main, "", KindDecision)
 	sa, _ := m.AddActivity(main, "", "SA", "SA")
 	sa.SetStereotype("activity+")
 	a2, _ := m.AddAction(main, "", "A2")
 	a2.SetStereotype("action+")
-	a2.CostFunc = "FA2()"
+	a2.SetCostFunc("FA2()")
 	mer, _ := m.AddControl(main, "", KindMerge)
 	a4, _ := m.AddAction(main, "", "A4")
 	a4.SetStereotype("action+")
-	a4.CostFunc = "FA4()"
+	a4.SetCostFunc("FA4()")
 	fin, _ := m.AddControl(main, "", KindFinal)
 	main.Connect(ini.ID(), a1.ID(), "")
 	main.Connect(a1.ID(), dec.ID(), "")
@@ -54,10 +54,10 @@ func buildSampleModel(t *testing.T) *Model {
 	si, _ := m.AddControl(sub, "", KindInitial)
 	sa1, _ := m.AddAction(sub, "", "SA1")
 	sa1.SetStereotype("action+")
-	sa1.CostFunc = "FSA1()"
+	sa1.SetCostFunc("FSA1()")
 	sa2, _ := m.AddAction(sub, "", "SA2")
 	sa2.SetStereotype("action+")
-	sa2.CostFunc = "FSA2(pid)"
+	sa2.SetCostFunc("FSA2(pid)")
 	sf, _ := m.AddControl(sub, "", KindFinal)
 	sub.Connect(si.ID(), sa1.ID(), "")
 	sub.Connect(sa1.ID(), sa2.ID(), "")

@@ -119,12 +119,12 @@ func modelName(m *uml.Model) string { return m.Name() }
 
 func firstCode(m *uml.Model) string {
 	n := m.Diagrams()[0].Nodes()[0]
-	return fmt.Sprintf("%q %v %v", n.(*uml.ActionNode).Code, n.Tags(), n.Constraints())
+	return fmt.Sprintf("%q %v %v", n.(*uml.ActionNode).Code(), n.Tags(), n.Constraints())
 }
 
 func firstEdge(m *uml.Model) string {
 	e := m.Diagrams()[0].Edges()[0]
-	return fmt.Sprintf("%s->%s %g %v %v", e.From(), e.To(), e.Weight, e.Tags(), e.Constraints())
+	return fmt.Sprintf("%s->%s %g %v %v", e.From(), e.To(), e.Weight(), e.Tags(), e.Constraints())
 }
 
 // TestDecodeMatchesReference holds Decode and Encode to the encoding/xml

@@ -104,6 +104,10 @@ func (d *decoder) survey() (uml.SizeHint, error) {
 			case strings.HasPrefix(rest, "diagram"):
 				h.Diagrams++
 				d.sizes = append(d.sizes, 0, 0)
+			case strings.HasPrefix(rest, "variable"):
+				h.Variables++
+			case strings.HasPrefix(rest, "function"):
+				h.Functions++
 			}
 		case c >= 0x20 && c < utf8.RuneSelf || c == '\n' || c == '\t' || c == '\r':
 		default:
@@ -512,7 +516,7 @@ func (d *decoder) diagram(empty bool) error {
 		if err != nil {
 			return fmt.Errorf("xmi: diagram %q: %w", dg.Name(), err)
 		}
-		e.Weight = pe.weight
+		e.SetWeight(pe.weight)
 		for _, tv := range pe.tags {
 			e.SetTag(tv.Name, tv.Value)
 		}
@@ -531,24 +535,27 @@ func (d *decoder) node(dg *uml.Diagram, empty bool) error {
 	id, kind, name, body, costFunc := a[0], a[1], a[2], a[4], a[7]
 	var (
 		n    uml.Node
-		code *string // where the node keeps a <code> text
+		code interface{ SetCode(string) } // the node that keeps a <code> text
 		err  error
 	)
 	switch k := uml.KindFromName(kind); {
 	case k == uml.KindAction:
 		var x *uml.ActionNode
 		if x, err = d.m.AddAction(dg, id, name); err == nil {
-			x.CostFunc, code, n = costFunc, &x.Code, x
+			x.SetCostFunc(costFunc)
+			code, n = x, x
 		}
 	case k == uml.KindActivity:
 		var x *uml.ActivityNode
 		if x, err = d.m.AddActivity(dg, id, name, body); err == nil {
-			x.CostFunc, code, n = costFunc, &x.Code, x
+			x.SetCostFunc(costFunc)
+			code, n = x, x
 		}
 	case k == uml.KindLoop:
 		var x *uml.LoopNode
 		if x, err = d.m.AddLoop(dg, id, name, a[5], body); err == nil {
-			x.Var, n = a[6], x
+			x.SetVar(a[6])
+			n = x
 		}
 	case k.IsControl():
 		var x *uml.ControlNode
@@ -572,7 +579,7 @@ func (d *decoder) node(dg *uml.Diagram, empty bool) error {
 			return d.fail(d.pos, "duplicate <code> in <node>")
 		case k == 0:
 			if text, err = d.text("code", empty); code != nil {
-				*code = text
+				code.SetCode(text)
 			}
 			sawCode = true
 		case k == 1:

@@ -155,11 +155,11 @@ func (e *writer) diagram(d *uml.Diagram) {
 		var body, count, loopVar, costFunc, code string
 		switch x := n.(type) {
 		case *uml.ActionNode:
-			costFunc, code = x.CostFunc, x.Code
+			costFunc, code = x.CostFunc(), x.Code()
 		case *uml.ActivityNode:
-			body, costFunc, code = x.Body, x.CostFunc, x.Code
+			body, costFunc, code = x.Body(), x.CostFunc(), x.Code()
 		case *uml.LoopNode:
-			body, count, loopVar = x.Body, x.Count, x.Var
+			body, count, loopVar = x.Body(), x.Count(), x.Var()
 		}
 		e.open(2, "node", "id", n.ID(), "kind", kind.String(), "?name", name, "?stereotype", n.Stereotype(),
 			"?body", body, "?count", count, "?var", loopVar, "?costfunc", costFunc)
@@ -167,10 +167,10 @@ func (e *writer) diagram(d *uml.Diagram) {
 	}
 	for _, ed := range d.Edges() {
 		weight := ""
-		if ed.Weight != 0 {
-			weight = strconv.FormatFloat(ed.Weight, 'g', -1, 64)
+		if ed.Weight() != 0 {
+			weight = strconv.FormatFloat(ed.Weight(), 'g', -1, 64)
 		}
-		e.open(2, "edge", "from", ed.From(), "to", ed.To(), "?guard", ed.Guard, "?weight", weight)
+		e.open(2, "edge", "from", ed.From(), "to", ed.To(), "?guard", ed.Guard(), "?weight", weight)
 		e.extensions(ed, "", "edge")
 	}
 	e.end(1, "diagram", children)

@@ -57,10 +57,10 @@ func randomModel(r *rand.Rand) *uml.Model {
 			switch r.Intn(5) {
 			case 0:
 				a, _ := m.AddAction(d, "", alpha(8))
-				a.Code = alpha(20)
-				a.CostFunc = []string{"", "F0()"}[r.Intn(2)]
-				if a.CostFunc != "" && nFuncs == 0 {
-					a.CostFunc = ""
+				a.SetCode(alpha(20))
+				a.SetCostFunc([]string{"", "F0()"}[r.Intn(2)])
+				if a.CostFunc() != "" && nFuncs == 0 {
+					a.SetCostFunc("")
 				}
 				n = a
 			case 1:
@@ -68,7 +68,7 @@ func randomModel(r *rand.Rand) *uml.Model {
 				n = a
 			case 2:
 				l, _ := m.AddLoop(d, "", alpha(8), "3", fmt.Sprintf("d%d", r.Intn(nDiagrams)))
-				l.Var = "i"
+				l.SetVar("i")
 				n = l
 			default:
 				kinds := []uml.Kind{uml.KindInitial, uml.KindFinal, uml.KindDecision,
@@ -88,7 +88,7 @@ func randomModel(r *rand.Rand) *uml.Model {
 			if prev != nil && r.Intn(3) > 0 {
 				e, _ := d.Connect(prev.ID(), n.ID(), []string{"", "else", "v0 > 0"}[r.Intn(3)])
 				if e != nil && r.Intn(3) == 0 {
-					e.Weight = float64(r.Intn(100)) / 100
+					e.SetWeight(float64(r.Intn(100)) / 100)
 					e.SetTag("w", "x")
 				}
 			}
@@ -154,7 +154,7 @@ func TestQuickRandomModelPayloadFidelity(t *testing.T) {
 				n2 := d2.Nodes()[ni]
 				if a, ok := n.(*uml.ActionNode); ok {
 					a2 := n2.(*uml.ActionNode)
-					if a.Code != a2.Code || a.CostFunc != a2.CostFunc {
+					if a.Code() != a2.Code() || a.CostFunc() != a2.CostFunc() {
 						return false
 					}
 				}
@@ -163,7 +163,7 @@ func TestQuickRandomModelPayloadFidelity(t *testing.T) {
 				}
 			}
 			for ei, e := range d.Edges() {
-				if d2.Edges()[ei].Guard != e.Guard {
+				if d2.Edges()[ei].Guard() != e.Guard() {
 					return false
 				}
 			}

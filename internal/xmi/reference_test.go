@@ -137,22 +137,22 @@ func toXML(m *uml.Model) *xmlModel {
 			}
 			switch node := n.(type) {
 			case *uml.ActionNode:
-				xn.Code = node.Code
-				xn.CostFunc = node.CostFunc
+				xn.Code = node.Code()
+				xn.CostFunc = node.CostFunc()
 			case *uml.ActivityNode:
-				xn.Body = node.Body
-				xn.Code = node.Code
-				xn.CostFunc = node.CostFunc
+				xn.Body = node.Body()
+				xn.Code = node.Code()
+				xn.CostFunc = node.CostFunc()
 			case *uml.LoopNode:
-				xn.Body = node.Body
-				xn.Count = node.Count
-				xn.Var = node.Var
+				xn.Body = node.Body()
+				xn.Count = node.Count()
+				xn.Var = node.Var()
 			}
 			xd.Nodes = append(xd.Nodes, xn)
 		}
 		for _, e := range d.Edges() {
 			xe := xmlEdge{
-				From: e.From(), To: e.To(), Guard: e.Guard, Weight: e.Weight,
+				From: e.From(), To: e.To(), Guard: e.Guard(), Weight: e.Weight(),
 				Consts: e.Constraints(),
 			}
 			for _, tv := range e.Tags() {
@@ -206,7 +206,7 @@ func fromXML(doc *xmlModel) (*uml.Model, error) {
 			if err != nil {
 				return nil, fmt.Errorf("xmi: diagram %q: %w", xd.Name, err)
 			}
-			e.Weight = xe.Weight
+			e.SetWeight(xe.Weight)
 			for _, tv := range xe.Tags {
 				e.SetTag(tv.Name, tv.Value)
 			}
@@ -234,23 +234,23 @@ func addNode(m *uml.Model, d *uml.Diagram, xn xmlNode) error {
 		var a *uml.ActionNode
 		a, err = m.AddAction(d, xn.ID, xn.Name)
 		if err == nil {
-			a.Code = xn.Code
-			a.CostFunc = xn.CostFunc
+			a.SetCode(xn.Code)
+			a.SetCostFunc(xn.CostFunc)
 			n = a
 		}
 	case uml.KindActivity:
 		var a *uml.ActivityNode
 		a, err = m.AddActivity(d, xn.ID, xn.Name, xn.Body)
 		if err == nil {
-			a.Code = xn.Code
-			a.CostFunc = xn.CostFunc
+			a.SetCode(xn.Code)
+			a.SetCostFunc(xn.CostFunc)
 			n = a
 		}
 	case uml.KindLoop:
 		var l *uml.LoopNode
 		l, err = m.AddLoop(d, xn.ID, xn.Name, xn.Count, xn.Body)
 		if err == nil {
-			l.Var = xn.Var
+			l.SetVar(xn.Var)
 			n = l
 		}
 	case uml.KindInitial, uml.KindFinal, uml.KindDecision, uml.KindMerge,

@@ -22,8 +22,8 @@ func buildSample(t *testing.T) *uml.Model {
 	ini, _ := m.AddControl(main, "", uml.KindInitial)
 	a1, _ := m.AddAction(main, "", "A1")
 	a1.SetStereotype("action+")
-	a1.CostFunc = "FA1()"
-	a1.Code = "GV = 10;\nP = 4;"
+	a1.SetCostFunc("FA1()")
+	a1.SetCode("GV = 10;\nP = 4;")
 	a1.SetTag("id", "1")
 	a1.SetTag("type", "CPU")
 	a1.AddConstraint("time >= 0")
@@ -32,12 +32,12 @@ func buildSample(t *testing.T) *uml.Model {
 	sa.SetStereotype("activity+")
 	a2, _ := m.AddAction(main, "", "A2")
 	a2.SetStereotype("action+")
-	a2.CostFunc = "FA1()"
+	a2.SetCostFunc("FA1()")
 	fin, _ := m.AddControl(main, "", uml.KindFinal)
 	main.Connect(ini.ID(), a1.ID(), "")
 	main.Connect(a1.ID(), dec.ID(), "")
 	e, _ := main.Connect(dec.ID(), sa.ID(), "GV > 0")
-	e.Weight = 0.7
+	e.SetWeight(0.7)
 	e.SetTag("prob", "0.7")
 	main.Connect(dec.ID(), a2.ID(), "else")
 	main.Connect(sa.ID(), fin.ID(), "")
@@ -47,9 +47,9 @@ func buildSample(t *testing.T) *uml.Model {
 	si, _ := m.AddControl(sub, "", uml.KindInitial)
 	sa2, _ := m.AddAction(sub, "", "SA2")
 	sa2.SetStereotype("action+")
-	sa2.CostFunc = "FSA2(pid)"
+	sa2.SetCostFunc("FSA2(pid)")
 	lp, _ := m.AddLoop(sub, "", "L", "M", "SA") // self-referencing body for structure test
-	lp.Var = "i"
+	lp.SetVar("i")
 	sf, _ := m.AddControl(sub, "", uml.KindFinal)
 	sub.Connect(si.ID(), sa2.ID(), "")
 	sub.Connect(sa2.ID(), lp.ID(), "")
@@ -108,17 +108,17 @@ func modelsEquivalent(t *testing.T, a, b *uml.Model) {
 			switch x := an.(type) {
 			case *uml.ActionNode:
 				y := bn.(*uml.ActionNode)
-				if x.Code != y.Code || x.CostFunc != y.CostFunc {
-					t.Errorf("action %s payload differs: %q/%q %q/%q", x.ID(), x.Code, y.Code, x.CostFunc, y.CostFunc)
+				if x.Code() != y.Code() || x.CostFunc() != y.CostFunc() {
+					t.Errorf("action %s payload differs: %q/%q %q/%q", x.ID(), x.Code(), y.Code(), x.CostFunc(), y.CostFunc())
 				}
 			case *uml.ActivityNode:
 				y := bn.(*uml.ActivityNode)
-				if x.Body != y.Body {
+				if x.Body() != y.Body() {
 					t.Errorf("activity %s body differs", x.ID())
 				}
 			case *uml.LoopNode:
 				y := bn.(*uml.LoopNode)
-				if x.Count != y.Count || x.Body != y.Body || x.Var != y.Var {
+				if x.Count() != y.Count() || x.Body() != y.Body() || x.Var() != y.Var() {
 					t.Errorf("loop %s differs", x.ID())
 				}
 			}
@@ -126,7 +126,7 @@ func modelsEquivalent(t *testing.T, a, b *uml.Model) {
 		for ei, ae := range ad.Edges() {
 			be := bd.Edges()[ei]
 			if ae.From() != be.From() || ae.To() != be.To() ||
-				ae.Guard != be.Guard || ae.Weight != be.Weight {
+				ae.Guard() != be.Guard() || ae.Weight() != be.Weight() {
 				t.Errorf("edge %d differs", ei)
 			}
 		}
@@ -194,7 +194,7 @@ func TestCodeFragmentSurvivesSpecialChars(t *testing.T) {
 	m := uml.NewModel("x")
 	d, _ := m.AddDiagram("main")
 	a, _ := m.AddAction(d, "", "A")
-	a.Code = "if (a < b && c > 0) { x = \"s\"; }\n\ttab"
+	a.SetCode("if (a < b && c > 0) { x = \"s\"; }\n\ttab")
 	s, err := EncodeString(m)
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +204,8 @@ func TestCodeFragmentSurvivesSpecialChars(t *testing.T) {
 		t.Fatal(err)
 	}
 	ga := got.Main().Nodes()[0].(*uml.ActionNode)
-	if ga.Code != a.Code {
-		t.Errorf("code fragment mangled: %q vs %q", ga.Code, a.Code)
+	if ga.Code() != a.Code() {
+		t.Errorf("code fragment mangled: %q vs %q", ga.Code(), a.Code())
 	}
 }
 
@@ -220,8 +220,8 @@ func TestGuardExpressionEscaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Main().Edges()[0].Guard != `GV > 0 && P < 16` {
-		t.Errorf("guard mangled: %q", got.Main().Edges()[0].Guard)
+	if got.Main().Edges()[0].Guard() != `GV > 0 && P < 16` {
+		t.Errorf("guard mangled: %q", got.Main().Edges()[0].Guard())
 	}
 }
 
