@@ -32,9 +32,10 @@ test:
 # the engine's users: the interpreter (fork and OpenMP processes) and
 # the machine model (delivery callbacks run on process goroutines), and
 # the memo of derived artifacts a model builds once and shares with every
-# reader (flow graphs, region trees, the check report) and its readers.
+# reader (flow graphs, region trees, the check report) and its readers,
+# and the trace recorder's block pool, shared by concurrent runs.
 race:
-	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/estimator/... ./internal/lower/... ./internal/server/... ./internal/analytic/... ./internal/interp/... ./internal/machine/... ./internal/uml/... ./internal/checker/... ./internal/core/... ./internal/cppgen/... ./internal/gogen/...
+	$(GO) test -race ./internal/sim/... ./internal/obs/... ./internal/runner/... ./internal/estimator/... ./internal/lower/... ./internal/server/... ./internal/analytic/... ./internal/interp/... ./internal/machine/... ./internal/uml/... ./internal/checker/... ./internal/core/... ./internal/cppgen/... ./internal/gogen/... ./internal/trace/...
 
 # Black-box smoke test of the prophetd binary: start it, register a
 # model, estimate, scrape /metrics, and check SIGTERM drains cleanly.

@@ -37,24 +37,14 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 	}
 	if ctx := cfg.Context; ctx != nil {
 		// Cooperative cancellation: refuse to start on an already-done
-		// context, then watch it for the duration of the run. The watcher
+		// context, then watch it for the duration of the run. The watch
 		// interrupts the engine, which checks between simulation events,
-		// so the run unwinds at event granularity. The watcher is always
-		// joined before Run returns — no goroutine outlives the call.
+		// so the run unwinds at event granularity. The watch is always
+		// stopped before Run returns — no callback outlives the call.
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("interp: %w", context.Cause(ctx))
 		}
-		stop := make(chan struct{})
-		watched := make(chan struct{})
-		go func() {
-			defer close(watched)
-			select {
-			case <-ctx.Done():
-				eng.Interrupt(context.Cause(ctx))
-			case <-stop:
-			}
-		}()
-		defer func() { close(stop); <-watched }()
+		defer eng.WatchContext(ctx)()
 	}
 	mach, err := machine.NewWithPolicy(eng, sp, net, cfg.Policy)
 	if err != nil {
@@ -72,10 +62,12 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 		sp:       sp.Env(),
 		globals:  map[string]float64{},
 		trace:    &trace.Trace{Model: pr.model.Name()},
-		noTrace:  cfg.NoTrace,
 		maxSteps: maxSteps,
 		crits:    map[critKey]*sim.Facility{},
 		rng:      sim.NewStream(seed),
+	}
+	if !cfg.NoTrace {
+		rs.rec = new(trace.Recorder)
 	}
 	rs.trace.SetMeta("nodes", fmt.Sprint(sp.Nodes))
 	rs.trace.SetMeta("processors", fmt.Sprint(sp.ProcessorsPerNode))
@@ -128,7 +120,16 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 	// stage, annotated with the work the simulation actually did — the
 	// deepest level of the request's span tree.
 	_, span := obs.StartSpan(cfg.Context, "sim")
-	annotate := func() {
+	annotate := func(err error) {
+		// The recorded events become the trace, or are dropped with a
+		// failed run, inside the span, which pays for recording.
+		switch {
+		case rs.rec == nil:
+		case err != nil:
+			rs.rec.Discard()
+		default:
+			rs.rec.Finish(rs.trace)
+		}
 		span.Annotate("events", strconv.FormatInt(eng.EventsExecuted(), 10))
 		span.Annotate("sim_time", strconv.FormatFloat(eng.Now(), 'g', -1, 64))
 		span.Annotate("processes", strconv.Itoa(sp.Processes))
@@ -137,14 +138,14 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 	}
 	if cfg.RunLimit > 0 {
 		if _, err := eng.RunUntil(cfg.RunLimit); err != nil {
-			annotate()
+			annotate(err)
 			return nil, fmt.Errorf("interp: %w", err)
 		}
 	} else if _, err := eng.Run(); err != nil {
-		annotate()
+		annotate(err)
 		return nil, fmt.Errorf("interp: %w", err)
 	}
-	annotate()
+	annotate(nil)
 
 	res := &Result{
 		Trace:    rs.trace,
@@ -174,8 +175,9 @@ type runState struct {
 	crits map[critKey]*sim.Facility
 	// rng drives weighted-branch selection, seeded from Config.Seed.
 	rng *sim.Stream
-	// noTrace suppresses event collection (makespan-only runs).
-	noTrace bool
+	// rec collects the run's events until it ends; nil for makespan-only
+	// runs, which skip trace collection.
+	rec *trace.Recorder
 	// finished records the time the last process completed.
 	finished float64
 }
@@ -306,10 +308,10 @@ func (fc *flowCtx) nextUID() int {
 }
 
 func (fc *flowCtx) emit(kind trace.Kind, n uml.Node) {
-	if fc.rs.noTrace {
+	if fc.rs.rec == nil {
 		return
 	}
-	fc.rs.trace.Append(trace.Event{
+	fc.rs.rec.Record(trace.Event{
 		T: fc.rs.eng.Now(), PID: fc.pid, TID: fc.tid,
 		Kind: kind, Elem: n.ID(), Name: n.Name(),
 	})

@@ -61,7 +61,7 @@ type runtimeState struct {
 	maxSteps int
 	crits    map[critKey]*sim.Facility
 	rng      *sim.Stream
-	noTrace  bool
+	rec      *trace.Recorder // the run's events until it ends; nil when untraced
 	finished float64
 
 	// Direct mode: the event queue degenerates to a clock accumulator and
@@ -387,13 +387,13 @@ func (fr *frame) nextUID() {
 // line in record, so emit inlines into the run loop and an untraced run
 // pays one check per event.
 func (fr *frame) emit(kind trace.Kind, o *op) {
-	if !fr.rt.noTrace {
+	if fr.rt.rec != nil {
 		fr.record(kind, o)
 	}
 }
 
 func (fr *frame) record(kind trace.Kind, o *op) {
-	fr.rt.trace.Append(trace.Event{
+	fr.rt.rec.Record(trace.Event{
 		T: fr.rt.now(), PID: fr.pid, TID: fr.tid,
 		Kind: kind, Elem: o.id, Name: o.name,
 	})
@@ -820,18 +820,34 @@ func (pr *Program) newRuntime(cfg interp.Config, sp machine.SystemParams, maxSte
 		globals:  make([]float64, len(pr.lay.globalNames)),
 		extras:   map[string]float64{},
 		trace:    &trace.Trace{Model: pr.parts.Model.Name()},
-		noTrace:  cfg.NoTrace,
 		maxSteps: maxSteps,
 		crits:    map[critKey]*sim.Facility{},
 		rng:      sim.NewStream(seed),
 		direct:   direct,
 		ctx:      cfg.Context,
 	}
+	if !cfg.NoTrace {
+		rt.rec = new(trace.Recorder)
+	}
 	rt.trace.SetMeta("nodes", fmt.Sprint(sp.Nodes))
 	rt.trace.SetMeta("processors", fmt.Sprint(sp.ProcessorsPerNode))
 	rt.trace.SetMeta("processes", fmt.Sprint(sp.Processes))
 	rt.trace.SetMeta("threads", fmt.Sprint(sp.Threads))
 	return rt
+}
+
+// endTrace hands the recorded events to the run's trace, or drops them
+// when the run failed. It runs inside the "sim" span, which pays for
+// recording.
+func (rt *runtimeState) endTrace(err error) {
+	if rt.rec == nil {
+		return
+	}
+	if err != nil {
+		rt.rec.Discard()
+		return
+	}
+	rt.rec.Finish(rt.trace)
 }
 
 // result assembles the run outcome; utilization is supplied per mode.
@@ -873,6 +889,7 @@ func (pr *Program) runDirect(cfg interp.Config, sp machine.SystemParams, maxStep
 	_, span := obs.StartSpan(cfg.Context, "sim")
 	fr := rt.newFrame(nil, 0, 0)
 	err := fr.run(pr.mainSeg)
+	rt.endTrace(err)
 	span.Annotate("events", strconv.FormatInt(rt.ops, 10))
 	span.Annotate("sim_time", strconv.FormatFloat(rt.clock, 'g', -1, 64))
 	span.Annotate("processes", strconv.Itoa(sp.Processes))
@@ -947,17 +964,7 @@ func (pr *Program) runEngine(cfg interp.Config, sp machine.SystemParams, maxStep
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("lower: %w", context.Cause(ctx))
 		}
-		stop := make(chan struct{})
-		watched := make(chan struct{})
-		go func() {
-			defer close(watched)
-			select {
-			case <-ctx.Done():
-				eng.Interrupt(context.Cause(ctx))
-			case <-stop:
-			}
-		}()
-		defer func() { close(stop); <-watched }()
+		defer eng.WatchContext(ctx)()
 	}
 	net := machine.DefaultNet()
 	if cfg.Net != nil {
@@ -992,7 +999,8 @@ func (pr *Program) runEngine(cfg interp.Config, sp machine.SystemParams, maxStep
 	}
 
 	_, span := obs.StartSpan(cfg.Context, "sim")
-	annotate := func() {
+	annotate := func(err error) {
+		rt.endTrace(err)
 		span.Annotate("events", strconv.FormatInt(eng.EventsExecuted(), 10))
 		span.Annotate("sim_time", strconv.FormatFloat(eng.Now(), 'g', -1, 64))
 		span.Annotate("processes", strconv.Itoa(sp.Processes))
@@ -1002,14 +1010,14 @@ func (pr *Program) runEngine(cfg interp.Config, sp machine.SystemParams, maxStep
 	}
 	if cfg.RunLimit > 0 {
 		if _, err := eng.RunUntil(cfg.RunLimit); err != nil {
-			annotate()
+			annotate(err)
 			return nil, fmt.Errorf("lower: %w", err)
 		}
 	} else if _, err := eng.Run(); err != nil {
-		annotate()
+		annotate(err)
 		return nil, fmt.Errorf("lower: %w", err)
 	}
-	annotate()
+	annotate(nil)
 
 	res := rt.result(sp, mach.CPUUtilization)
 	res.Stats = eng

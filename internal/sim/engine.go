@@ -26,6 +26,7 @@ package sim
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -517,6 +518,23 @@ func (e *Engine) Interrupt(cause error) {
 		cause = fmt.Errorf("sim: interrupted")
 	}
 	e.interrupted.CompareAndSwap(nil, &interruptCause{err: cause})
+}
+
+// WatchContext interrupts the engine with ctx's cause once ctx is done,
+// until the returned stop is called. stop waits for an interrupt already
+// under way, so no callback outlives it. No goroutine waits on ctx in the
+// meantime, and a context that can never be done costs nothing.
+func (e *Engine) WatchContext(ctx context.Context) (stop func()) {
+	fired := make(chan struct{})
+	stopWatch := context.AfterFunc(ctx, func() {
+		e.Interrupt(context.Cause(ctx))
+		close(fired)
+	})
+	return func() {
+		if !stopWatch() {
+			<-fired
+		}
+	}
 }
 
 // InterruptError reports a run stopped by Engine.Interrupt. It unwraps to

@@ -136,3 +136,35 @@ func TestInterruptStopsRunUntil(t *testing.T) {
 		t.Fatalf("RunUntil ignored the interrupt: %v", err)
 	}
 }
+
+// WatchContext interrupts a run with the context's cause when the context
+// is done, and once stopped it leaves the engine alone: a watch stopped
+// before the cancel, or on a context that is never done, interrupts
+// nothing.
+func TestWatchContext(t *testing.T) {
+	cause := errors.New("client went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	e := New()
+	e.Spawn("busy", func(p *Process) {
+		for i := 0; i < 1_000_000; i++ {
+			p.Hold(1)
+		}
+	})
+	stop := e.WatchContext(ctx)
+	e.At(10, func() { cancel(cause) })
+	_, err := e.Run()
+	stop()
+	if !errors.Is(err, cause) {
+		t.Fatalf("cancel did not interrupt the run: %v", err)
+	}
+
+	ctx, cancel = context.WithCancelCause(context.Background())
+	e = New()
+	e.Spawn("p", func(p *Process) { p.Hold(1) })
+	e.WatchContext(ctx)()
+	cancel(cause)
+	e.WatchContext(context.Background())()
+	if _, err := e.Run(); err != nil {
+		t.Fatalf("a stopped watch interrupted the run: %v", err)
+	}
+}

@@ -115,14 +115,34 @@ func (tr *Trace) Makespan() float64 {
 //	0.000000000	0	0	enter	e2	A1
 func Write(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# trace-version: 1")
-	fmt.Fprintf(bw, "# model: %s\n", tr.Model)
+	bw.WriteString("# trace-version: 1\n# model: ")
+	bw.WriteString(tr.Model)
+	bw.WriteByte('\n')
 	for _, m := range tr.Meta {
-		fmt.Fprintf(bw, "# meta %s: %s\n", m.Key, m.Value)
+		bw.WriteString("# meta ")
+		bw.WriteString(m.Key)
+		bw.WriteString(": ")
+		bw.WriteString(m.Value)
+		bw.WriteByte('\n')
 	}
-	for _, ev := range tr.Events {
-		fmt.Fprintf(bw, "%s\t%d\t%d\t%s\t%s\t%s\n",
-			strconv.FormatFloat(ev.T, 'g', 17, 64), ev.PID, ev.TID, ev.Kind, ev.Elem, ev.Name)
+	// Each event line is built in one reused buffer, without formatting
+	// verbs or an allocation per line.
+	var line []byte
+	for i := range tr.Events {
+		ev := &tr.Events[i]
+		line = strconv.AppendFloat(line[:0], ev.T, 'g', 17, 64)
+		line = append(line, '\t')
+		line = strconv.AppendInt(line, int64(ev.PID), 10)
+		line = append(line, '\t')
+		line = strconv.AppendInt(line, int64(ev.TID), 10)
+		line = append(line, '\t')
+		line = append(line, ev.Kind...)
+		line = append(line, '\t')
+		line = append(line, ev.Elem...)
+		line = append(line, '\t')
+		line = append(line, ev.Name...)
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
 }
@@ -236,7 +256,14 @@ type Summary struct {
 // enter/leave pairs per (pid, tid) in LIFO order (elements nest).
 //
 // A nil or zero-event trace yields an empty summary (zero makespan, no
-// elements) rather than an error, so degenerate runs report cleanly.
+// elements) rather than an error, so degenerate runs report cleanly. Of
+// several lanes left open, the error names the one whose first enter
+// comes first.
+//
+// It makes one pass over the events. Lanes, processes and element names
+// each get a dense slot, found through a cache of the previous event's
+// key before a map; each element's statistics accumulate in event order,
+// and the maps of the Summary are built once at the end.
 func Summarize(tr *Trace) (*Summary, error) {
 	if tr == nil || len(tr.Events) == 0 {
 		return &Summary{
@@ -244,29 +271,45 @@ func Summarize(tr *Trace) (*Summary, error) {
 			BusyByPID: map[int]float64{},
 		}, nil
 	}
-	type key struct{ pid, tid int }
-	stacks := map[key][]Event{}
-	depth := map[int]int{}
-	busyStart := map[int]float64{}
-	sum := &Summary{
-		Makespan:  tr.Makespan(),
-		Elements:  map[string]ElemStat{},
-		BusyByPID: map[int]float64{},
-	}
-	pids := map[int]bool{}
-	for _, ev := range tr.Events {
-		pids[ev.PID] = true
+	events := tr.Events
+	var (
+		procs  []procSlot
+		lanes  []laneSlot
+		stats  []ElemStat
+		procAt = slotIndex[int]{at: map[int]int{}}
+		laneAt = slotIndex[[2]int]{at: map[[2]int]int{}}
+		statAt = slotIndex[string]{at: map[string]int{}}
+	)
+	makespan := events[0].T
+	for i := range events {
+		ev := &events[i]
+		if ev.T > makespan {
+			makespan = ev.T
+		}
+		pi, added := procAt.find(ev.PID)
+		if added {
+			procs = append(procs, procSlot{pid: ev.PID, idle: true})
+		}
+		p := &procs[pi]
 		switch ev.Kind {
 		case Enter:
-			k := key{ev.PID, ev.TID}
-			stacks[k] = append(stacks[k], ev)
-			if depth[ev.PID] == 0 {
-				busyStart[ev.PID] = ev.T
+			li, added := laneAt.find([2]int{ev.PID, ev.TID})
+			if added {
+				lanes = append(lanes, laneSlot{pid: ev.PID, tid: ev.TID})
 			}
-			depth[ev.PID]++
+			l := &lanes[li]
+			l.open = append(l.open, i)
+			if p.depth == 0 {
+				p.busyStart = ev.T
+			}
+			p.depth++
 		case Leave:
-			k := key{ev.PID, ev.TID}
-			st := stacks[k]
+			li, added := laneAt.find([2]int{ev.PID, ev.TID})
+			if added {
+				lanes = append(lanes, laneSlot{pid: ev.PID, tid: ev.TID})
+			}
+			l := &lanes[li]
+			st := l.open
 			if len(st) == 0 {
 				return nil, fmt.Errorf("trace: leave %q at t=%g on pid %d tid %d without matching enter",
 					ev.Name, ev.T, ev.PID, ev.TID)
@@ -277,46 +320,99 @@ func Summarize(tr *Trace) (*Summary, error) {
 			// the innermost match is simply the top of the stack.
 			match := -1
 			for j := len(st) - 1; j >= 0; j-- {
-				if st[j].Elem == ev.Elem {
+				if events[st[j]].Elem == ev.Elem {
 					match = j
 					break
 				}
 			}
 			if match < 0 {
-				return nil, fmt.Errorf("trace: mismatched enter/leave: %q vs %q", st[len(st)-1].Name, ev.Name)
+				return nil, fmt.Errorf("trace: mismatched enter/leave: %q vs %q", events[st[len(st)-1]].Name, ev.Name)
 			}
-			top := st[match]
-			stacks[k] = append(st[:match], st[match+1:]...)
-			dt := ev.T - top.T
-			s := sum.Elements[ev.Name]
-			if s.Count == 0 {
-				s.Name = ev.Name
-				s.Min = dt
-				s.Max = dt
+			dt := ev.T - events[st[match]].T
+			l.open = append(st[:match], st[match+1:]...)
+			ei, added := statAt.find(ev.Name)
+			if added {
+				stats = append(stats, ElemStat{Name: ev.Name, Min: dt, Max: dt})
 			}
-			s.Count++
-			s.Total += dt
-			if dt < s.Min {
-				s.Min = dt
+			e := &stats[ei]
+			e.Count++
+			e.Total += dt
+			if dt < e.Min {
+				e.Min = dt
 			}
-			if dt > s.Max {
-				s.Max = dt
+			if dt > e.Max {
+				e.Max = dt
 			}
-			sum.Elements[ev.Name] = s
-			depth[ev.PID]--
-			if depth[ev.PID] == 0 {
-				sum.BusyByPID[ev.PID] += ev.T - busyStart[ev.PID]
+			p.depth--
+			if p.depth == 0 {
+				p.busy += ev.T - p.busyStart
+				p.idle = false
 			}
 		}
 	}
-	for k, st := range stacks {
-		if len(st) > 0 {
+	for _, l := range lanes {
+		if len(l.open) > 0 {
 			return nil, fmt.Errorf("trace: %d unclosed element(s) on pid %d tid %d (first: %q)",
-				len(st), k.pid, k.tid, st[0].Name)
+				len(l.open), l.pid, l.tid, events[l.open[0]].Name)
 		}
 	}
-	sum.Processes = len(pids)
+	sum := &Summary{
+		Makespan:  makespan,
+		Elements:  make(map[string]ElemStat, len(stats)),
+		BusyByPID: make(map[int]float64, len(procs)),
+		Processes: len(procs),
+	}
+	for _, e := range stats {
+		sum.Elements[e.Name] = e
+	}
+	for _, p := range procs {
+		if !p.idle {
+			sum.BusyByPID[p.pid] = p.busy
+		}
+	}
 	return sum, nil
+}
+
+// slotIndex numbers keys densely in the order they are first found. A
+// lookup of the previous key skips the map.
+type slotIndex[K comparable] struct {
+	at   map[K]int
+	last K
+	slot int // the previous key's slot + 1; 0 before the first lookup
+}
+
+// find returns k's slot, and whether k was new: then its slot is the
+// next one, which the caller appends.
+func (x *slotIndex[K]) find(k K) (slot int, added bool) {
+	if x.slot > 0 && x.last == k {
+		return x.slot - 1, false
+	}
+	slot, ok := x.at[k]
+	if !ok {
+		slot = len(x.at)
+		x.at[k] = slot
+	}
+	x.last, x.slot = k, slot+1
+	return slot, !ok
+}
+
+// laneSlot is one (pid, tid) lane: the positions in the trace of its
+// enters that no leave has closed yet, innermost last.
+type laneSlot struct {
+	pid, tid int
+	open     []int
+}
+
+// procSlot is one process: how many of its elements are open, when the
+// current busy interval began, and its busy time so far. idle holds until
+// a leave first closes a busy interval, so a process that never had one
+// has no BusyByPID entry.
+type procSlot struct {
+	pid       int
+	depth     int
+	busyStart float64
+	busy      float64
+	idle      bool
 }
 
 // Report renders a summary as a table, element rows sorted by descending
