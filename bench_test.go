@@ -491,12 +491,13 @@ func BenchmarkContention(b *testing.B) {
 
 // --- Ablation: process-oriented vs callback-chain event handling --------
 
-// BenchmarkSimStyle compares the goroutine-backed process model (Hold in a
+// BenchmarkSimStyle compares the coroutine-backed process model (Hold in a
 // loop) against pure event callbacks (After chains) for the same event
 // count. A holding process runs the event loop itself, so a lone process
-// that is its own next event pays no goroutine switch: what remains of
+// that is its own next event pays no coroutine switch: what remains of
 // the process abstraction's cost is the bookkeeping around each Hold. A
-// switch to another process costs one channel send.
+// switch to another process costs two coroutine switches, through Run's
+// loop (BenchmarkHandoff in internal/sim).
 func BenchmarkSimStyle(b *testing.B) {
 	const events = 1000
 	b.Run("process-hold", func(b *testing.B) {

@@ -14,6 +14,22 @@ import (
 	"prophet/internal/uml"
 )
 
+// NewTrace returns the empty trace of a run of model under sp, carrying
+// the system parameters as metadata, even for a NoTrace run. Both
+// runtimes, this package's and the lowered one, start their runs' traces
+// here.
+func NewTrace(model string, sp machine.SystemParams) *trace.Trace {
+	return &trace.Trace{Model: model, Meta: []trace.MetaEntry{
+		{Key: "nodes", Value: strconv.Itoa(sp.Nodes)},
+		{Key: "processors", Value: strconv.Itoa(sp.ProcessorsPerNode)},
+		{Key: "processes", Value: strconv.Itoa(sp.Processes)},
+		{Key: "threads", Value: strconv.Itoa(sp.Threads)},
+	}}
+}
+
+// ProcessName names the root process of rank pid.
+func ProcessName(pid int) string { return "p" + strconv.Itoa(pid) }
+
 // Run simulates the program under the given configuration and returns the
 // trace and summary metrics. It is the "evaluates it by simulation" step
 // of the paper's abstract.
@@ -61,7 +77,7 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 		mach:     mach,
 		sp:       sp.Env(),
 		globals:  map[string]float64{},
-		trace:    &trace.Trace{Model: pr.model.Name()},
+		trace:    NewTrace(pr.model.Name(), sp),
 		maxSteps: maxSteps,
 		crits:    map[critKey]*sim.Facility{},
 		rng:      sim.NewStream(seed),
@@ -69,10 +85,6 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 	if !cfg.NoTrace {
 		rs.rec = new(trace.Recorder)
 	}
-	rs.trace.SetMeta("nodes", fmt.Sprint(sp.Nodes))
-	rs.trace.SetMeta("processors", fmt.Sprint(sp.ProcessorsPerNode))
-	rs.trace.SetMeta("processes", fmt.Sprint(sp.Processes))
-	rs.trace.SetMeta("threads", fmt.Sprint(sp.Threads))
 
 	// Initialize globals: declared initializers first (in declaration
 	// order, able to reference earlier globals and system parameters),
@@ -98,7 +110,7 @@ func (pr *Program) Run(cfg Config) (*Result, error) {
 
 	for pid := 0; pid < sp.Processes; pid++ {
 		pid := pid
-		eng.Spawn(fmt.Sprintf("p%d", pid), func(p *sim.Process) {
+		eng.Spawn(ProcessName(pid), func(p *sim.Process) {
 			fc := rs.newFlowCtx(p, pid, 0)
 			if err := fc.runDiagram(main); err != nil {
 				// Fail, not panic: the engine wraps this as a typed

@@ -819,7 +819,7 @@ func (pr *Program) newRuntime(cfg interp.Config, sp machine.SystemParams, maxSte
 		sp:       sp.Env(),
 		globals:  make([]float64, len(pr.lay.globalNames)),
 		extras:   map[string]float64{},
-		trace:    &trace.Trace{Model: pr.parts.Model.Name()},
+		trace:    interp.NewTrace(pr.parts.Model.Name(), sp),
 		maxSteps: maxSteps,
 		crits:    map[critKey]*sim.Facility{},
 		rng:      sim.NewStream(seed),
@@ -829,10 +829,6 @@ func (pr *Program) newRuntime(cfg interp.Config, sp machine.SystemParams, maxSte
 	if !cfg.NoTrace {
 		rt.rec = new(trace.Recorder)
 	}
-	rt.trace.SetMeta("nodes", fmt.Sprint(sp.Nodes))
-	rt.trace.SetMeta("processors", fmt.Sprint(sp.ProcessorsPerNode))
-	rt.trace.SetMeta("processes", fmt.Sprint(sp.Processes))
-	rt.trace.SetMeta("threads", fmt.Sprint(sp.Threads))
 	return rt
 }
 
@@ -987,7 +983,7 @@ func (pr *Program) runEngine(cfg interp.Config, sp machine.SystemParams, maxStep
 
 	for pid := 0; pid < sp.Processes; pid++ {
 		pid := pid
-		eng.Spawn(fmt.Sprintf("p%d", pid), func(p *sim.Process) {
+		eng.Spawn(interp.ProcessName(pid), func(p *sim.Process) {
 			fr := rt.newFrame(p, pid, 0)
 			if err := fr.run(pr.mainSeg); err != nil {
 				p.Fail(err)

@@ -12,20 +12,19 @@
 //     (Mailbox), modeling point-to-point communication
 //   - barriers and events for collective synchronization
 //
-// Processes are backed by goroutines, but exactly one goroutine — the one
-// that called Run or a single process — runs at any instant. There is no
-// scheduler goroutine: a process that pauses runs the event loop itself,
-// executing callbacks inline until the next process event. If that event
-// is its own wakeup it simply carries on; otherwise it hands control
-// straight to the process due, or back to Run when the run is over, with
-// one channel send. A finished process's goroutine waits on the engine's
-// idle list for the next process to start. Together with a deterministic
-// (time, sequence)-ordered event queue this makes every simulation run
+// Processes run on coroutines (iter.Pull), and exactly one of them, or
+// the goroutine that called Run, runs at any instant. Control passes by
+// coroutine switch, never through the Go scheduler. A process that pauses
+// runs the event loop itself, executing callbacks inline until the next
+// process event. If that event is its own wakeup it simply carries on;
+// otherwise it yields to Run's loop, which resumes the process due. A
+// finished process's coroutine waits on the engine's idle list for the
+// next process to start. Together with a deterministic (time,
+// sequence)-ordered event queue this makes every simulation run
 // bit-for-bit reproducible.
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sort"
@@ -50,19 +49,18 @@ type Engine struct {
 	done  int // processes in alive that have reached stateDone
 	err   error
 
-	// Control handoff. Whichever goroutine holds control owns the engine;
-	// it passes control on with one send, to a process's worker or, when
-	// the loop is over, on yield to the goroutine blocked in Run.
-	yield    chan struct{}
-	cur      *Process    // dispatched process whose dispatch is not yet finished
+	// Control handoff. Whichever coroutine holds control owns the engine;
+	// it yields to Run's loop with the process to resume next in due.
+	due      *Process    // process to resume next; nil when the loop is over
 	bounded  bool        // the run stops at limit (RunUntil)
 	limit    float64     // RunUntil's horizon
 	stop     error       // why the loop ended early: an interrupt
 	panicked interface{} // panic value of an At/After callback, re-raised by Run
-	idle     []*worker   // goroutines of finished processes, free for new ones
+	idle     []*worker   // coroutines of finished processes, free for new ones
+	zombies  []*worker   // coroutines of processes that called runtime.Goexit
 
 	// interrupted carries an external stop request (Interrupt). It is the
-	// only engine field touched from outside the goroutine holding
+	// only engine field touched from outside the coroutine holding
 	// control, so it is atomic; the event loop checks it between events.
 	interrupted atomic.Pointer[interruptCause]
 
@@ -89,7 +87,6 @@ type Engine struct {
 // run) don't grow them from zero.
 func New() *Engine {
 	return &Engine{
-		yield:       make(chan struct{}),
 		lastSampled: -1,
 		events:      make(eventQueue, 0, 128),
 		alive:       make([]*Process, 0, 16),
@@ -101,7 +98,7 @@ func (e *Engine) Now() float64 { return e.now }
 
 // EventsExecuted returns how many events Run/RunUntil have dispatched so
 // far — a cheap proxy for how much simulation work a run cost. Read it
-// after the run returns (the goroutine holding control owns the counter).
+// after the run returns (the coroutine holding control owns the counter).
 func (e *Engine) EventsExecuted() int64 { return e.executed }
 
 // lifecycle is a process lifecycle transition kind.
@@ -168,25 +165,47 @@ type event struct {
 }
 
 // eventQueue is a binary min-heap ordered by (time, seq): ties resolve in
-// schedule order, which keeps runs deterministic.
+// schedule order, which keeps runs deterministic. push and pop make the
+// comparisons of container/heap's up and down in the same order, so they
+// pop events in the same order, NaN times included.
 type eventQueue []*event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
+func (a *event) before(b *event) bool {
+	if a.time != b.time {
+		return a.time < b.time
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+func (q *eventQueue) push(ev *event) {
+	*q = append(*q, ev)
+	h, j := *q, len(*q)-1
+	for ; j > 0 && ev.before(h[(j-1)/2]); j = (j - 1) / 2 {
+		h[j] = h[(j-1)/2]
+	}
+	h[j] = ev
+}
+
+func (q *eventQueue) pop() *event {
+	h := *q
+	n := len(h) - 1
+	top, ev := h[0], h[n]
+	h[n], h = nil, h[:n]
+	*q = h
+	if n > 0 {
+		i := 0
+		for j := 1; j < n; j = 2*i + 1 {
+			if j+1 < n && h[j+1].before(h[j]) {
+				j++
+			}
+			if !h[j].before(ev) {
+				break
+			}
+			h[i], i = h[j], j
+		}
+		h[i] = ev
+	}
+	return top
 }
 
 // schedule enqueues an event at absolute time t, reusing a recycled
@@ -203,7 +222,7 @@ func (e *Engine) schedule(t float64, p *Process, fn func()) {
 	} else {
 		ev = &event{time: t, seq: e.seq, p: p, fn: fn}
 	}
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 }
 
 // release returns a popped event to the free-list. The event must no
@@ -215,7 +234,7 @@ func (e *Engine) release(ev *event) {
 }
 
 // At schedules fn to run at absolute simulated time t (>= now). The
-// callback runs inside the event loop, on whichever goroutine holds
+// callback runs inside the event loop, on whichever coroutine holds
 // control: it must not block, but it may spawn processes and signal
 // synchronization objects.
 func (e *Engine) At(t float64, fn func()) { e.schedule(t, nil, fn) }
@@ -243,13 +262,7 @@ func (e *Engine) SpawnNamer(n Namer, fn func(*Process)) *Process {
 }
 
 func (e *Engine) spawn(name string, n Namer, fn func(*Process)) *Process {
-	p := &Process{
-		eng:   e,
-		name:  name,
-		namer: n,
-		body:  fn,
-		state: stateReady,
-	}
+	p := &Process{eng: e, name: name, namer: n, body: fn, state: stateReady}
 	e.alive = append(e.alive, p)
 	if e.obs != nil {
 		p.Name()
@@ -284,15 +297,12 @@ func (e *Engine) RunUntil(limit float64) (float64, error) {
 }
 
 // run drives the event loop, up to limit when bounded, from the calling
-// goroutine, which parks while processes hold control, and closes the
+// goroutine, which resumes process coroutines in turn, and closes the
 // telemetry series unless the run failed. A callback panic caught on a
-// process goroutine is re-raised here, on the caller's goroutine.
+// process coroutine is re-raised here, on the caller's goroutine.
 func (e *Engine) run(bounded bool, limit float64) error {
 	e.bounded, e.limit, e.stop = bounded, limit, nil
-	if next := e.advance(); next != nil {
-		e.resume(next)
-		<-e.yield
-	}
+	e.dispatch(e.advance(nil))
 	if v := e.panicked; v != nil {
 		e.panicked = nil
 		panic(v)
@@ -307,20 +317,20 @@ func (e *Engine) run(bounded bool, limit float64) error {
 	return nil
 }
 
-// advance finishes the bookkeeping of the current dispatch, then pops
-// events and runs callbacks until a live process is due. It returns that
+// advance finishes the bookkeeping of the dispatch of cur, the process
+// that paused or finished (nil at the start of a run), then pops events
+// and runs callbacks until a live process is due. It returns that
 // process, already marked running, or nil when the loop is over: queue
 // empty, limit reached, error, interrupt or callback panic.
-func (e *Engine) advance() (next *Process) {
+func (e *Engine) advance(cur *Process) (next *Process) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panicked = r
 			next = nil
 		}
 	}()
-	if p := e.cur; p != nil {
-		e.cur = nil
-		if p.state == stateDone {
+	if cur != nil {
+		if cur.state == stateDone {
 			e.done++
 		}
 		if e.err != nil {
@@ -334,7 +344,7 @@ func (e *Engine) advance() (next *Process) {
 			e.stop = &InterruptError{Time: e.now, Cause: c.err}
 			return nil
 		}
-		ev := heap.Pop(&e.events).(*event)
+		ev := e.events.pop()
 		e.executed++
 		e.now = ev.time
 		p, fn := ev.p, ev.fn
@@ -344,7 +354,6 @@ func (e *Engine) advance() (next *Process) {
 		} else if p.state != stateDone { // else a stale wakeup of a finished process
 			p.state = stateRunning
 			e.trace(p, evRun)
-			e.cur = p
 			return p
 		}
 		if e.err != nil {
@@ -356,64 +365,11 @@ func (e *Engine) advance() (next *Process) {
 	return nil
 }
 
-// resume hands control to process next, starting its body on an idle or
-// new worker if it has not run yet, or back to Run when next is nil. The
-// caller must not touch the engine afterwards.
-func (e *Engine) resume(next *Process) {
-	if next == nil {
-		e.yield <- struct{}{}
-		return
-	}
-	if next.w != nil {
-		next.w.wake <- struct{}{}
-		return
-	}
-	if n := len(e.idle); n > 0 {
-		w := e.idle[n-1]
-		e.idle[n-1] = nil
-		e.idle = e.idle[:n-1]
-		w.p, next.w = next, w
-		w.wake <- struct{}{}
-		return
-	}
-	w := &worker{wake: make(chan struct{}), p: next}
-	next.w = w
-	go e.work(w)
-}
-
-// worker is a goroutine that runs process bodies, one after another, so
-// a stack grown by one process serves the next.
-type worker struct {
-	wake chan struct{} // control arrives here; closed at shutdown
-	p    *Process      // the process running on the worker
-}
-
-// work runs w's process, then the event loop. A process that has not
-// started yet continues on this goroutine; otherwise the worker hands
-// control on and waits on the idle list.
-func (e *Engine) work(w *worker) {
-	for {
-		if !e.exec(w.p) {
-			e.yield <- struct{}{} // unwound by shutdown
-			return
-		}
-		next := e.advance()
-		if next != nil && next.w == nil {
-			w.p, next.w = next, w
-			continue
-		}
-		w.p = nil
-		e.idle = append(e.idle, w)
-		e.resume(next)
-		if _, ok := <-w.wake; !ok {
-			return
-		}
-	}
-}
-
-// exec runs p's body to its end. A panic or Process.Fail becomes the
-// run's error; exec reports false when shutdown unwound the process.
-func (e *Engine) exec(p *Process) (finished bool) {
+// exec runs the body of w's process to its end. A panic or Process.Fail
+// becomes the run's error; exec reports false when shutdown unwound the
+// process.
+func (e *Engine) exec(w *worker) (finished bool) {
+	p := w.p
 	defer func() {
 		r := recover()
 		p.state = stateDone
@@ -433,8 +389,12 @@ func (e *Engine) exec(p *Process) (finished bool) {
 		}
 		e.trace(p, evDone)
 		if goexit {
-			// runtime.Goexit ends this goroutine: hand control on first.
-			e.resume(e.advance())
+			// runtime.Goexit ends this coroutine, and iter.Pull would
+			// re-raise it in the run loop: hand control on first, and
+			// stay suspended until shutdown ends the coroutine.
+			e.due = e.advance(p)
+			e.zombies = append(e.zombies, w)
+			w.yield(struct{}{})
 		}
 	}()
 	body := p.body
@@ -458,10 +418,7 @@ func (e *Engine) compactAlive() {
 			live = append(live, p)
 		}
 	}
-	// Clear the tail so finished processes are collectable.
-	for i := len(live); i < len(e.alive); i++ {
-		e.alive[i] = nil
-	}
+	clear(e.alive[len(live):]) // so finished processes are collectable
 	e.alive = live
 	e.done = 0
 }
@@ -477,30 +434,6 @@ func (e *Engine) blockedProcesses() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// shutdown unwinds every process goroutine that is still parked and
-// closes the idle workers, so that no goroutine outlives Run, even after
-// a deadlock, error or panic. Processes that never started have no
-// goroutine and are simply marked done.
-func (e *Engine) shutdown() {
-	for _, p := range e.alive {
-		if p.state == stateDone {
-			continue
-		}
-		if p.w == nil {
-			p.state, p.body = stateDone, nil
-			continue
-		}
-		p.poisoned = true
-		p.w.wake <- struct{}{}
-		<-e.yield
-	}
-	for _, w := range e.idle {
-		close(w.wake)
-	}
-	e.alive, e.idle = nil, nil
-	e.done = 0
 }
 
 // interruptCause boxes the Interrupt cause so it fits an atomic.Pointer.

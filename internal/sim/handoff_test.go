@@ -298,3 +298,28 @@ func TestGoexitFinishesProcess(t *testing.T) {
 	}
 	waitForGoroutines(t, base)
 }
+
+// BenchmarkHandoff ping-pongs two processes on Hold, half a time unit
+// apart, so every event switches control from one process to the other.
+func BenchmarkHandoff(b *testing.B) {
+	const holds = 1000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		e.Spawn("ping", func(p *Process) {
+			for j := 0; j < holds; j++ {
+				p.Hold(1)
+			}
+		})
+		e.Spawn("pong", func(p *Process) {
+			p.Hold(0.5)
+			for j := 0; j < holds; j++ {
+				p.Hold(1)
+			}
+		})
+		if _, err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*holds), "ns/switch")
+}

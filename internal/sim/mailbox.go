@@ -4,7 +4,6 @@ package sim
 // blocking receive. The estimator's point-to-point communication (mpi_send
 // / mpi_recv) is built on mailboxes, one per receiving process.
 type Mailbox struct {
-	eng      *Engine
 	name     string
 	messages []interface{}
 	waiting  []*Process
@@ -12,7 +11,7 @@ type Mailbox struct {
 
 // NewMailbox creates an empty mailbox.
 func (e *Engine) NewMailbox(name string) *Mailbox {
-	m := &Mailbox{eng: e, name: name}
+	m := &Mailbox{name: name}
 	e.mailboxes = append(e.mailboxes, m)
 	return m
 }
@@ -38,9 +37,7 @@ func (m *Mailbox) Send(msg interface{}) {
 // Receive returns the next message, blocking the process until one
 // arrives.
 func (m *Mailbox) Receive(p *Process) interface{} {
-	if len(m.messages) > 0 {
-		msg := m.messages[0]
-		m.messages = m.messages[1:]
+	if msg, ok := m.TryReceive(); ok {
 		return msg
 	}
 	m.waiting = append(m.waiting, p)

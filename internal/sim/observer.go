@@ -2,11 +2,6 @@ package sim
 
 import "math"
 
-// nextAfterNow returns the smallest float64 strictly greater than t.
-func nextAfterNow(t float64) float64 {
-	return math.Nextafter(t, math.Inf(1))
-}
-
 // Sample is one point of the engine's simulated-time telemetry series: a
 // consistent snapshot of every registered facility, mailbox and the
 // scheduler itself at simulated time Time.
@@ -48,10 +43,7 @@ type Observer interface {
 // short runs always produce at least one point.
 func (e *Engine) SetObserver(o Observer, interval float64) {
 	e.obs = o
-	if interval < 0 {
-		interval = 0
-	}
-	e.sampleEvery = interval
+	e.sampleEvery = max(interval, 0)
 	e.nextSample = 0
 	e.lastSampled = -1
 }
@@ -90,7 +82,7 @@ func (e *Engine) maybeSample() {
 	} else {
 		// Auto mode: once per distinct timestamp. Any strictly later time
 		// crosses the threshold again.
-		e.nextSample = nextAfterNow(e.now)
+		e.nextSample = math.Nextafter(e.now, math.Inf(1))
 	}
 }
 

@@ -2,7 +2,7 @@ package sim
 
 import "errors"
 
-// errPoisoned unwinds parked process goroutines at engine shutdown.
+// errPoisoned unwinds parked processes at engine shutdown.
 var errPoisoned = errors.New("sim: engine shut down")
 
 // procState tracks where a process is in its lifecycle.
@@ -25,13 +25,12 @@ const (
 // from within the process's own function; calling them from another
 // goroutine corrupts the simulation.
 type Process struct {
-	eng      *Engine
-	name     string
-	namer    Namer          // supplies name on first read (SpawnNamer)
-	body     func(*Process) // until the first dispatch
-	w        *worker        // goroutine running the process; nil until it starts
-	state    procState
-	poisoned bool
+	eng   *Engine
+	name  string
+	namer Namer          // supplies name on first read (SpawnNamer)
+	body  func(*Process) // until the first dispatch
+	w     *worker        // coroutine running the process; nil until it starts
+	state procState
 
 	// msg carries a mailbox delivery to a woken receiver.
 	msg interface{}
@@ -68,26 +67,11 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Now returns the current simulated time.
 func (p *Process) Now() float64 { return p.eng.now }
 
-// pause runs the event loop until the process is due again. When another
-// process is due first, pause hands control to it and parks until woken.
-func (p *Process) pause() {
-	e := p.eng
-	if next := e.advance(); next != p {
-		e.resume(next)
-		<-p.w.wake
-		if p.poisoned {
-			panic(errPoisoned)
-		}
-	}
-}
-
 // Hold advances the process's local time by dt: the process is suspended
 // and resumes after dt simulated time units. This is CSIM's hold(): it is
 // how an ActionPlus element charges its cost-function time to the clock.
 func (p *Process) Hold(dt float64) {
-	if dt < 0 {
-		dt = 0
-	}
+	dt = max(dt, 0)
 	p.state = stateHolding
 	p.eng.trace(p, evHold)
 	p.eng.schedule(p.eng.now+dt, p, nil)

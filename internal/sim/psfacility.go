@@ -34,12 +34,7 @@ func (e *Engine) NewPSFacility(name string, servers int) *PSFacility {
 	if servers < 1 {
 		panic(fmt.Sprintf("sim: PS facility %q needs at least 1 server", name))
 	}
-	f := &PSFacility{
-		eng:     e,
-		name:    name,
-		servers: servers,
-		jobs:    make(map[*psJob]struct{}),
-	}
+	f := &PSFacility{eng: e, name: name, servers: servers, jobs: make(map[*psJob]struct{})}
 	e.psFacilities = append(e.psFacilities, f)
 	return f
 }
@@ -97,9 +92,7 @@ func (f *PSFacility) reschedule() {
 			next = t
 		}
 	}
-	if next < 0 {
-		next = 0
-	}
+	next = max(next, 0)
 	// Clock-resolution guard: a wakeup below the clock's ULP would fire
 	// at the *same* timestamp, advance() would see dt == 0, and the
 	// facility would loop forever without progress. Pad the delay so the

@@ -1,5 +1,7 @@
 package sim
 
+import "maps"
+
 // Recorder is a ready-made Observer that accumulates telemetry samples in
 // bounded memory and counts lifecycle events by kind. When the sample
 // buffer fills it decimates: every other retained sample is dropped and
@@ -72,11 +74,7 @@ func (r *Recorder) Samples() []Sample {
 // EventCounts returns a copy of the per-kind lifecycle event counts
 // ("spawn", "run", "hold", "block", "done").
 func (r *Recorder) EventCounts() map[string]int64 {
-	out := make(map[string]int64, len(r.eventCounts))
-	for k, v := range r.eventCounts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(r.eventCounts)
 }
 
 // Reset clears all recorded state, keeping the configured capacity.

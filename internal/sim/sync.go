@@ -8,7 +8,6 @@ import "fmt"
 // resets for the next one. The estimator uses it for mpi_barrier and for
 // the implicit join of parallel regions.
 type Barrier struct {
-	eng     *Engine
 	name    string
 	parties int
 	arrived int
@@ -22,7 +21,7 @@ func (e *Engine) NewBarrier(name string, parties int) *Barrier {
 	if parties < 1 {
 		panic(fmt.Sprintf("sim: barrier %q needs at least 1 party", name))
 	}
-	return &Barrier{eng: e, name: name, parties: parties}
+	return &Barrier{name: name, parties: parties}
 }
 
 // Name returns the barrier name.
@@ -37,10 +36,7 @@ func (b *Barrier) Wait(p *Process) {
 		return
 	}
 	// Last arriver releases the generation.
-	for _, w := range b.waiting {
-		w.unblock()
-	}
-	b.waiting = b.waiting[:0]
+	b.waiting = wake(b.waiting)
 	b.arrived = 0
 	b.cycles++
 }
@@ -52,7 +48,6 @@ func (b *Barrier) Cycles() int { return b.cycles }
 // Setting wakes every waiter; the event stays set (new waiters pass
 // through) until Reset.
 type Event struct {
-	eng     *Engine
 	name    string
 	set     bool
 	waiting []*Process
@@ -60,7 +55,7 @@ type Event struct {
 
 // NewEvent creates an unset event.
 func (e *Engine) NewEvent(name string) *Event {
-	return &Event{eng: e, name: name}
+	return &Event{name: name}
 }
 
 // Name returns the event name.
@@ -85,10 +80,7 @@ func (ev *Event) Set() {
 		return
 	}
 	ev.set = true
-	for _, w := range ev.waiting {
-		w.unblock()
-	}
-	ev.waiting = ev.waiting[:0]
+	ev.waiting = wake(ev.waiting)
 }
 
 // Reset clears the event so future waiters block again.
@@ -97,7 +89,6 @@ func (ev *Event) Reset() { ev.set = false }
 // Counter is a countdown latch: Wait blocks until Done has been called n
 // times. Used to implement joins over dynamically spawned workers.
 type Counter struct {
-	eng     *Engine
 	name    string
 	n       int
 	waiting []*Process
@@ -105,18 +96,24 @@ type Counter struct {
 
 // NewCounter creates a countdown latch expecting n Done calls.
 func (e *Engine) NewCounter(name string, n int) *Counter {
-	return &Counter{eng: e, name: name, n: n}
+	return &Counter{name: name, n: n}
 }
 
 // Done decrements the counter, waking waiters when it reaches zero.
 func (c *Counter) Done() {
 	c.n--
 	if c.n <= 0 {
-		for _, w := range c.waiting {
-			w.unblock()
-		}
-		c.waiting = c.waiting[:0]
+		c.waiting = wake(c.waiting)
 	}
+}
+
+// wake resumes every process in waiting, in order, and returns waiting
+// emptied for reuse.
+func wake(waiting []*Process) []*Process {
+	for _, p := range waiting {
+		p.unblock()
+	}
+	return waiting[:0]
 }
 
 // Reset rearms a drained counter to expect n more Done calls, so a join
