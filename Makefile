@@ -50,11 +50,11 @@ loadtest:
 	./scripts/prophetd_loadtest.sh
 
 # Full benchmark pass (the per-table/figure harness of EXPERIMENTS.md),
-# plus the runner/sim hot-path benchmarks and the BENCH_runner.json
+# plus the runner/sim/lowered-engine hot-path benchmarks and the BENCH_runner.json
 # artifact tracking ns/op, allocs/op, and parallel speedup across PRs.
 bench:
 	$(GO) test -bench=. -benchmem .
-	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/estimator/ ./internal/core/
+	$(GO) test -bench=. -benchmem ./internal/sim/ ./internal/estimator/ ./internal/core/ ./internal/lower/
 	$(GO) run ./cmd/benchrunner -o BENCH_runner.json -min-analytic-speedup 100
 
 # Per-stage pipeline scalability trajectory: every transformation stage

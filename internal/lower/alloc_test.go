@@ -2,7 +2,6 @@ package lower
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"prophet/internal/builder"
@@ -101,15 +100,14 @@ func forkLoopModel(rounds, vars int) *uml.Model {
 }
 
 // A forked branch allocates at most its sim.Process: frames, join
-// latches and process names are reused or built lazily, so a run's
+// latches and process names are reused or built lazily, and a branch runs
+// as a continuation, with no goroutine or coroutine behind it. So a run's
 // allocations grow by at most one per executed branch and do not depend
 // on how many locals a frame carries.
 func TestForkAllocsPerBranch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
-	// One P keeps the engine's goroutine records on one free list.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := interp.Config{Seed: 3, NoTrace: true}
 	allocs := func(rounds, vars int) float64 {
 		pr, err := interp.Compile(forkLoopModel(rounds, vars), nil)
@@ -124,9 +122,6 @@ func TestForkAllocsPerBranch(t *testing.T) {
 			if _, err := lp.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
-			// Let the run's released worker goroutines exit, so the next
-			// run's goroutines reuse their records instead of allocating.
-			runtime.Gosched()
 		})
 	}
 	small, large := allocs(100, 10), allocs(1000, 10)
@@ -161,5 +156,79 @@ func BenchmarkEngineForkModelgen2k(b *testing.B) {
 		if _, err := lp.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDirectJobLoop is one direct-mode run per op of the job loop
+// with 2,000 jobs: 8,000 stochastic actions, the shape of a Monte Carlo
+// run.
+func BenchmarkDirectJobLoop(b *testing.B) {
+	pr, err := interp.Compile(jobLoopModel(2000), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lp := Lower(pr)
+	cfg := interp.Config{Globals: map[string]float64{"scale": 1}, Seed: 5, NoTrace: true}
+	if !lp.direct(cfg, machine.DefaultParams()) {
+		b.Fatal("job loop does not run in direct mode")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := lp.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// spmdModel is a program every process runs: rounds of a compute action
+// and a barrier.
+func spmdModel() *uml.Model {
+	b := builder.New("spmd")
+	d := b.Diagram("main")
+	d.Initial()
+	d.Loop("Rounds", "20", "round").Var("r")
+	d.Final()
+	d.Chain("initial", "Rounds", "final")
+	round := b.Diagram("round")
+	round.Initial()
+	round.Action("Work").Cost("1 + pid")
+	round.MPI("Sync", "mpi_barrier")
+	round.Final()
+	round.Chain("initial", "Work", "Sync", "final")
+	return builder.MustBuild(b)
+}
+
+// An engine-mode run allocates per process only the process's records:
+// its sim.Process, its frame with the frame's variable slices and
+// environments, and its machine mailbox, about 15 objects. Control passes
+// by function call, so no process pays for a coroutine (an iter.Pull
+// worker is about 10 objects more).
+func TestEngineAllocsPerProcess(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	const perProcess = 15
+	pr, err := interp.Compile(spmdModel(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := Lower(pr)
+	allocs := func(processes int) float64 {
+		// A run limit keeps the one-process run in engine mode.
+		cfg := interp.Config{Seed: 3, NoTrace: true, RunLimit: 1e9,
+			Params: machine.SystemParams{Nodes: 1, ProcessorsPerNode: 8, Processes: processes, Threads: 1}}
+		if lp.direct(cfg, cfg.Params) {
+			t.Fatal("run is in direct mode")
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := lp.Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, eight := allocs(1), allocs(8)
+	if eight-one > 7*perProcess {
+		t.Errorf("allocs per run: %v with 1 process, %v with 8; want at most %d more (%d per process)",
+			one, eight, 7*perProcess, perProcess)
 	}
 }

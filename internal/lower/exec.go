@@ -112,8 +112,10 @@ func criticalName(pid int, elemID string) string {
 	return "critical:" + strconv.Itoa(pid) + "/" + elemID
 }
 
-// frame is the per-(process, thread) execution context: the slot-backed
-// variable frame plus the step counter.
+// frame is one process of a run as an explicit record: its slot-backed
+// variables, its position, the loops and activity bodies around it, and
+// how far the op at its pc got before a wait. In engine mode it is its
+// process's sim.Continuation; direct mode runs the same loop, unwaiting.
 type frame struct {
 	rt    *runtimeState
 	p     *sim.Process
@@ -122,14 +124,18 @@ type frame struct {
 	env   expr.SlotEnv
 	steps int
 
-	// A branch or thread frame runs segment seg for the fork or parallel
-	// region spawnOp of parent; branch is its fork branch index. start is
-	// its process body, bound once per frame.
+	seg, pc  int          // position; pc -1 ends the segment
+	stack    []ctl        // loops and activity bodies around the position
+	stackBuf [4]ctl       // stack's first array, so shallow nesting allocates nothing
+	stage    stage        // how far the op at pc got before its wait
+	pending  machine.Step // the machine operation under way at a wait
+	recvSrc  int          // sendrecv: the source rank, evaluated before its send
+
+	// A branch or thread frame runs for the fork or parallel region
+	// spawnOp of parent; branch is its fork branch index.
 	parent  *frame
 	spawnOp *op
-	seg     int
 	branch  int
-	start   func(*sim.Process)
 
 	// join and childErr belong to the fork or parallel region the frame
 	// is running: the latch its branches count down and the first error
@@ -137,6 +143,26 @@ type frame struct {
 	join     *sim.Counter
 	childErr error
 }
+
+// ctl is a control stack entry: an activity whose body is running, or a
+// loop. The process carries on at o.next in segment seg after it.
+type ctl struct {
+	o        *op
+	seg      int
+	i, n     int     // loop: iterations begun, and the count
+	saved    float64 // loop: the loop variable's value before the loop
+	hadSaved bool
+}
+
+// stage is how far the op at a frame's pc got before it began a wait.
+type stage uint8
+
+const (
+	atOp   stage = iota // nothing under way
+	inStep              // a machine operation: an action's, a sendrecv's send, an activity's cost
+	inRecv              // a sendrecv's receive, after its send
+	inJoin              // a fork's or parallel region's join
+)
 
 // dynEnv is a frame's fallback environment: it resolves slot-mapped names
 // for the benefit of user-function bodies (which evaluate free variables
@@ -171,13 +197,22 @@ func (d *dynEnv) Var(name string) (float64, bool) {
 
 func (d *dynEnv) Func(string) (expr.Func, bool) { return nil, false }
 
-// newFrame builds a process's root frame, replicating newFlowCtx: pid/tid
+// rootFrame returns process pid's frame at the start of the main
+// diagram; init sets up its variables when it first runs.
+func (rt *runtimeState) rootFrame(pid int) *frame {
+	fr := &frame{rt: rt, pid: pid, seg: rt.prog.mainSeg}
+	fr.pc = rt.prog.segs[fr.seg].entry
+	fr.stack = fr.stackBuf[:0]
+	return fr
+}
+
+// init sets up a root frame's variables, replicating newFlowCtx: pid/tid
 // seeded, uid 0, then scope-local initializers evaluated in declaration
 // order with progressively visible earlier locals; initializer errors are
 // ignored (the variable stays 0), as in the interpreter.
-func (rt *runtimeState) newFrame(p *sim.Process, pid, tid int) *frame {
+func (fr *frame) init() {
+	rt, pid, tid := fr.rt, fr.pid, fr.tid
 	lay := rt.prog.lay
-	fr := &frame{rt: rt, p: p, pid: pid, tid: tid}
 	fr.env = expr.SlotEnv{
 		Locals:  make([]float64, len(lay.localNames)),
 		Defined: make([]bool, len(lay.localNames)),
@@ -200,7 +235,6 @@ func (rt *runtimeState) newFrame(p *sim.Process, pid, tid int) *frame {
 			}
 		}
 	}
-	return fr
 }
 
 // localInitEnv is the environment scope-local initializers see: the
@@ -275,7 +309,7 @@ func (rt *runtimeState) initGlobals(cfg interp.Config) error {
 // spawnOp. It reuses a frame from the run's free list when there is one,
 // copying the locals into the slices that frame already has, so a fork
 // allocates frames only up to the run's peak number of live branches. A
-// reused frame keeps its bound fallback environment and process body.
+// reused frame keeps its bound fallback environment and its stack.
 func (fr *frame) child(spawnOp *op, seg, branch, tid int) *frame {
 	rt := fr.rt
 	var nc *frame
@@ -293,41 +327,63 @@ func (fr *frame) child(spawnOp *op, seg, branch, tid int) *frame {
 			Globals: rt.globals,
 		}
 		nc.env.Fallback = rt.prog.parts.Lib.Bind(&dynEnv{fr: nc})
-		nc.start = nc.runChild
+		nc.stack = nc.stackBuf[:0]
 	}
 	nc.pid, nc.tid = fr.pid, tid
-	nc.parent, nc.spawnOp, nc.seg, nc.branch = fr, spawnOp, seg, branch
+	nc.parent, nc.spawnOp, nc.branch = fr, spawnOp, branch
+	nc.seg, nc.pc = seg, -1
+	if seg >= 0 {
+		nc.pc = rt.prog.segs[seg].entry
+	}
 	nc.env.Locals[rt.prog.lay.tidSlot] = float64(tid)
+	nc.p = rt.eng.SpawnContinuation(nc)
 	return nc
 }
 
-// Name names a branch or thread process as the interpreter does:
-// p<pid>.fork<id>.<branch> or p<pid>.omp<id>.t<tid>. The engine builds the
-// name only when something reads it; a frame is recycled only after its
-// process has finished, so the name is always the live process's.
+// Name names the frame's process as the interpreter does: p<pid>, and for
+// a branch or thread p<pid>.fork<id>.<branch> or p<pid>.omp<id>.t<tid>.
+// The engine builds the name only when something reads it; a frame is
+// recycled only after its process has finished, so the name is always
+// the live process's.
 func (fr *frame) Name() string {
-	if fr.spawnOp.kind == opParallel {
+	switch {
+	case fr.spawnOp == nil:
+		return interp.ProcessName(fr.pid)
+	case fr.spawnOp.kind == opParallel:
 		return fmt.Sprintf("p%d.omp%s.t%d", fr.pid, fr.spawnOp.id, fr.tid)
 	}
 	return fmt.Sprintf("p%d.fork%s.%d", fr.pid, fr.spawnOp.id, fr.branch)
 }
 
-// runChild is a branch or thread process's body: it runs the segment,
-// records the first error at the parent, counts down the parent's join,
-// and, when the run succeeded, frees the frame for reuse. A frame whose
-// run failed is never reused: after a dangling fork edge its own branches
-// may still be running and will count down its join.
-func (fr *frame) runChild(p *sim.Process) {
-	fr.p = p
+// Resume runs the frame's process until it waits or ends. A root
+// process's error fails the run; a branch or thread records it at the
+// parent, counts down the parent's join and, when it succeeded, frees its
+// frame. A failed frame is never reused: after a dangling fork edge its
+// own branches may still be running and will count down its join.
+func (fr *frame) Resume(*sim.Process) (bool, error) {
+	rt := fr.rt
+	if fr.env.Locals == nil {
+		fr.init()
+	}
+	wait, err := fr.exec()
+	if wait {
+		return true, nil
+	}
 	parent := fr.parent
-	err := fr.run(fr.seg)
+	if parent == nil {
+		if now := rt.eng.Now(); now > rt.finished {
+			rt.finished = now
+		}
+		return false, err
+	}
 	if err != nil && parent.childErr == nil {
 		parent.childErr = err
 	}
 	parent.join.Done()
 	if err == nil {
-		fr.rt.free = append(fr.rt.free, fr)
+		rt.free = append(rt.free, fr)
 	}
+	return false, nil
 }
 
 // arm readies the frame's join latch for n branches or threads. The latch
@@ -409,14 +465,11 @@ func (fr *frame) step(name string) error {
 	return nil
 }
 
-// hold advances time by dt with sim.Process.Hold semantics (negative
-// clamps to zero; the engine's schedule clamp keeps NaN sticky).
+// hold advances a direct run's clock by dt with sim.Process.Hold
+// semantics (negative clamps to zero; the engine's schedule clamp keeps
+// NaN sticky).
 func (fr *frame) hold(dt float64) {
 	rt := fr.rt
-	if !rt.direct {
-		fr.p.Hold(dt)
-		return
-	}
 	rt.holds++
 	if dt < 0 {
 		dt = 0
@@ -428,14 +481,14 @@ func (fr *frame) hold(dt float64) {
 	rt.clock = t
 }
 
-// compute charges dt to the process's CPU. In direct mode the single
-// process owns the facility, so service time is the hold and the busy
-// integral grows by exactly the time advanced — the same float ops the
-// facility's account() performs.
+// compute charges dt to the process's CPU: the machine step its caller
+// carries out. In direct mode the single process owns the facility, so
+// service time is the hold and the busy integral grows by exactly the
+// time advanced — the same float ops the facility's account() performs.
 func (fr *frame) compute(dt float64) {
 	rt := fr.rt
 	if !rt.direct {
-		rt.mach.Compute(fr.p, fr.pid, dt)
+		fr.pending = rt.mach.ComputeStep(fr.pid, dt)
 		return
 	}
 	if dt <= 0 {
@@ -459,31 +512,70 @@ func (fr *frame) evalTag(c *expr.Slotted, dflt float64) (float64, error) {
 	return c.Eval(&fr.env)
 }
 
-// run executes one segment to completion.
-func (fr *frame) run(segIdx int) error {
+// exec runs the process from its position until it begins a wait, which
+// it reports, or its flow ends. A resumed process first completes the op
+// whose wait it began.
+func (fr *frame) exec() (wait bool, err error) {
 	rt := fr.rt
-	if segIdx < 0 {
-		return nil
+	segs := rt.prog.segs
+	si, pc := fr.seg, fr.pc
+	if fr.stage != atOp {
+		if si, pc, wait, err = fr.complete(&segs[si].ops[pc], si, pc); wait || err != nil {
+			return wait, err
+		}
 	}
-	seg := &rt.prog.segs[segIdx]
-	pc := seg.entry
-	for pc >= 0 {
+	for {
+		if pc < 0 {
+			// The segment ended: iterate or leave the loop or activity.
+			n := len(fr.stack) - 1
+			if n < 0 {
+				return false, nil
+			}
+			c := &fr.stack[n]
+			o, lv := c.o, c.o.loopVar
+			if o.kind == opLoop && c.i < c.n {
+				if err := fr.step(o.name); err != nil {
+					return false, err
+				}
+				if lv.name != "" {
+					fr.env.Locals[lv.slot] = float64(c.i)
+					if lv.dyn {
+						fr.env.Defined[lv.slot] = true
+					}
+				}
+				c.i++
+				si, pc = o.body, segs[o.body].entry
+				continue
+			}
+			switch {
+			case o.kind != opLoop:
+				fr.emit(trace.Leave, o)
+			case lv.name == "":
+			case c.hadSaved:
+				fr.env.Locals[lv.slot] = c.saved
+			default:
+				fr.env.Defined[lv.slot] = false
+			}
+			si, pc = c.seg, o.next
+			fr.stack = fr.stack[:n]
+			continue
+		}
 		rt.ops++
 		if rt.direct && rt.ctx != nil {
 			// The engine checks for interruption between events; direct
 			// mode has no events, so poll the context every few ops.
 			if rt.ctxCheck++; rt.ctxCheck&63 == 0 && rt.ctx.Err() != nil {
-				return &sim.InterruptError{Time: rt.clock, Cause: context.Cause(rt.ctx)}
+				return false, &sim.InterruptError{Time: rt.clock, Cause: context.Cause(rt.ctx)}
 			}
 		}
-		o := &seg.ops[pc]
+		o := &segs[si].ops[pc]
 		switch o.kind {
 		case opError:
-			return o.err
+			return false, o.err
 
 		case opAction:
 			if err := fr.step(o.name); err != nil {
-				return err
+				return false, err
 			}
 			if o.act == actPlain {
 				pc = o.next
@@ -491,71 +583,94 @@ func (fr *frame) run(segIdx int) error {
 			}
 			// Code runs before execute(), as in the generated C++.
 			if err := fr.runCode(o); err != nil {
-				return err
+				return false, err
 			}
 			fr.nextUID()
 			fr.emit(trace.Enter, o)
-			err := fr.execAct(o)
-			fr.emit(trace.Leave, o)
-			if err != nil {
-				return err
+			if err := fr.beginAct(o); err != nil {
+				return false, err
 			}
-			pc = o.next
+			if rt.direct { // the operation is done: no machine, no wait
+				fr.emit(trace.Leave, o)
+				pc = o.next
+				continue
+			}
 
 		case opActivity, opParallel:
 			if err := fr.step(o.name); err != nil {
-				return err
+				return false, err
 			}
 			fr.nextUID()
 			fr.emit(trace.Enter, o)
-			err := fr.execActivity(o)
-			fr.emit(trace.Leave, o)
-			if err != nil {
-				return err
-			}
-			pc = o.next
 
 		case opLoop:
 			if err := fr.step(o.name); err != nil {
-				return err
+				return false, err
 			}
-			if err := fr.execLoop(o); err != nil {
-				return err
+			if err := fr.loop(o, si); err != nil {
+				return false, err
 			}
-			pc = o.next
+			pc = -1 // the first iteration starts where a body's end would
+			continue
 
 		case opBranch:
-			next, err := fr.execBranch(o)
-			if err != nil {
-				return err
+			if pc, err = fr.execBranch(o); err != nil {
+				return false, err
 			}
-			pc = next
+			continue
 
 		case opWeighted:
 			r := rt.rng.Float64() * o.total
 			var acc float64
-			next := o.targets[len(o.targets)-1]
+			pc = o.targets[len(o.targets)-1]
 			for i, w := range o.weights {
 				acc += w
 				if r < acc {
-					next = o.targets[i]
+					pc = o.targets[i]
 					break
 				}
 			}
-			pc = next
-
-		case opFork:
-			next, err := fr.execFork(o)
-			if err != nil {
-				return err
-			}
-			pc = next
+			continue
 
 		case opNop:
 			pc = o.next
+			continue
+		}
+		// An action, activity or fork: the part that may wait.
+		if si, pc, wait, err = fr.complete(o, si, pc); wait || err != nil {
+			return wait, err
 		}
 	}
-	return nil
+}
+
+// complete runs the part of an action, activity or fork that may wait, on
+// from its last wait, and returns the position after it, or saves the
+// op's position at a wait.
+func (fr *frame) complete(o *op, si, pc int) (int, int, bool, error) {
+	var wait bool
+	var err error
+	switch {
+	case fr.stage == inJoin: // its branches or threads have all finished
+		fr.stage, err = atOp, fr.childErr
+	case o.kind == opAction:
+		wait, err = fr.act(o)
+	case o.kind == opFork:
+		wait, err = fr.fork(o)
+	default:
+		wait, err = fr.activity(o)
+	}
+	if wait || err != nil {
+		fr.seg, fr.pc = si, pc
+		return si, pc, wait, err
+	}
+	switch o.kind {
+	case opActivity:
+		fr.stack = append(fr.stack, ctl{o: o, seg: si})
+		return o.body, fr.rt.prog.segs[o.body].entry, false, nil
+	case opAction, opParallel:
+		fr.emit(trace.Leave, o)
+	}
+	return si, o.next, false, nil
 }
 
 func (fr *frame) execBranch(o *op) (int, error) {
@@ -594,21 +709,52 @@ func (fr *frame) costOf(o *op) (v float64, ok bool, err error) {
 	return 0, false, nil
 }
 
-func (fr *frame) execAct(o *op) error {
+// act carries on an action's machine operation while it waits.
+func (fr *frame) act(o *op) (bool, error) {
+	rt := fr.rt
+	if fr.stage == atOp {
+		fr.stage = inStep
+	}
+	for {
+		wait, err := rt.mach.Resume(fr.p, &fr.pending)
+		if wait {
+			return true, nil
+		}
+		if err == nil && o.act == actSendrecv && fr.stage == inStep {
+			fr.stage = inRecv // the send is done: receive
+			fr.pending = rt.mach.RecvStep(fr.pid, fr.recvSrc)
+			continue
+		}
+		fr.stage = atOp
+		if err != nil {
+			return false, fmt.Errorf("lower: %q: %w", o.name, err)
+		}
+		switch o.act {
+		case actSend:
+			fr.emit(trace.Send, o)
+		case actRecv:
+			fr.emit(trace.Recv, o)
+		}
+		return false, nil
+	}
+}
+
+// beginAct evaluates an action's cost or tags and sets up its machine
+// operation; direct mode applies it to the clock.
+func (fr *frame) beginAct(o *op) error {
 	rt := fr.rt
 	switch o.act {
-	case actCompute:
+	case actCompute, actCritical:
 		cost, _, err := fr.costOf(o)
 		if err != nil {
 			return fmt.Errorf("lower: cost of %q: %w", o.name, err)
 		}
-		fr.compute(cost)
-	case actCritical:
-		cost, _, err := fr.costOf(o)
-		if err != nil {
-			return fmt.Errorf("lower: cost of %q: %w", o.name, err)
-		}
-		if rt.direct {
+		switch {
+		case o.act == actCompute:
+			fr.compute(cost)
+		case !rt.direct:
+			fr.pending = machine.UseStep(rt.critical(fr.pid, o.id), cost)
+		default:
 			// One process, one thread: the facility is always free, so
 			// Use degenerates to the hold, busy for exactly its length.
 			start := rt.clock
@@ -617,56 +763,35 @@ func (fr *frame) execAct(o *op) error {
 				rt.critBusy = map[string]float64{}
 			}
 			rt.critBusy[o.id] += rt.clock - start
-		} else {
-			rt.critical(fr.pid, o.id).Use(fr.p, cost)
 		}
-	case actSend:
+	case actSend, actSendrecv:
 		dest, err := fr.evalTag(o.dest, 0)
 		if err != nil {
 			return fmt.Errorf("lower: %q dest: %w", o.name, err)
+		}
+		if o.act == actSendrecv {
+			src, err := fr.evalTag(o.src, -1)
+			if err != nil {
+				return fmt.Errorf("lower: %q src: %w", o.name, err)
+			}
+			fr.recvSrc = int(src)
 		}
 		size, err := fr.evalTag(o.size, 0)
 		if err != nil {
 			return fmt.Errorf("lower: %q size: %w", o.name, err)
 		}
-		if err := rt.mach.Send(fr.p, fr.pid, int(dest), size); err != nil {
-			return fmt.Errorf("lower: %q: %w", o.name, err)
-		}
-		fr.emit(trace.Send, o)
+		fr.pending = rt.mach.SendStep(fr.pid, int(dest), size)
 	case actRecv:
 		src, err := fr.evalTag(o.src, -1)
 		if err != nil {
 			return fmt.Errorf("lower: %q src: %w", o.name, err)
 		}
-		if _, err := rt.mach.Recv(fr.p, fr.pid, int(src)); err != nil {
-			return fmt.Errorf("lower: %q: %w", o.name, err)
-		}
-		fr.emit(trace.Recv, o)
-	case actSendrecv:
-		dest, err := fr.evalTag(o.dest, 0)
-		if err != nil {
-			return fmt.Errorf("lower: %q dest: %w", o.name, err)
-		}
-		src, err := fr.evalTag(o.src, -1)
-		if err != nil {
-			return fmt.Errorf("lower: %q src: %w", o.name, err)
-		}
-		size, err := fr.evalTag(o.size, 0)
-		if err != nil {
-			return fmt.Errorf("lower: %q size: %w", o.name, err)
-		}
-		if err := rt.mach.Send(fr.p, fr.pid, int(dest), size); err != nil {
-			return fmt.Errorf("lower: %q: %w", o.name, err)
-		}
-		if _, err := rt.mach.Recv(fr.p, fr.pid, int(src)); err != nil {
-			return fmt.Errorf("lower: %q: %w", o.name, err)
-		}
+		fr.pending = rt.mach.RecvStep(fr.pid, int(src))
 	case actBarrier:
-		if !rt.direct {
-			rt.mach.Barrier(fr.p)
+		if !rt.direct { // one process: Barrier is a no-op
+			fr.pending = rt.mach.BarrierStep()
 		}
-		// One process: Barrier is a no-op.
-	case actBroadcast:
+	case actBroadcast, actReduce:
 		size, err := fr.evalTag(o.size, 0)
 		if err != nil {
 			return fmt.Errorf("lower: %q size: %w", o.name, err)
@@ -674,47 +799,51 @@ func (fr *frame) execAct(o *op) error {
 		if rt.direct {
 			fr.hold(0) // collectiveTime is 0 with one process
 		} else {
-			rt.mach.Broadcast(fr.p, size)
-		}
-	case actReduce:
-		size, err := fr.evalTag(o.size, 0)
-		if err != nil {
-			return fmt.Errorf("lower: %q size: %w", o.name, err)
-		}
-		if rt.direct {
-			fr.hold(0)
-		} else {
-			rt.mach.Reduce(fr.p, size)
+			fr.pending = rt.mach.CollectiveStep(size)
 		}
 	}
 	return nil
 }
 
-func (fr *frame) execActivity(o *op) error {
-	if err := fr.runCode(o); err != nil {
-		return err
-	}
-	if v, ok, err := fr.costOf(o); err != nil {
-		return fmt.Errorf("lower: cost of %q: %w", o.name, err)
-	} else if ok {
-		fr.compute(v)
-	}
-	if o.kind == opParallel {
-		return fr.execParallel(o)
-	}
-	if o.body < 0 {
-		return o.bodyErr
-	}
-	return fr.run(o.body)
-}
-
-func (fr *frame) execParallel(o *op) error {
+// activity runs an activity's code and cost, then spawns a parallel
+// region's threads and waits on their join.
+func (fr *frame) activity(o *op) (bool, error) {
 	rt := fr.rt
+	switch fr.stage {
+	case atOp:
+		if err := fr.runCode(o); err != nil {
+			return false, err
+		}
+		v, ok, err := fr.costOf(o)
+		if err != nil {
+			return false, fmt.Errorf("lower: cost of %q: %w", o.name, err)
+		}
+		if !ok {
+			break
+		}
+		fr.compute(v)
+		if rt.direct {
+			break
+		}
+		fr.stage = inStep
+		fallthrough
+	case inStep:
+		if wait, _ := rt.mach.Resume(fr.p, &fr.pending); wait {
+			return true, nil
+		}
+		fr.stage = atOp
+	}
+	if o.kind == opActivity {
+		if o.body < 0 {
+			return false, o.bodyErr
+		}
+		return false, nil
+	}
 	team := rt.sp["threads"]
 	if o.count != nil {
 		v, err := o.count.Eval(&fr.env)
 		if err != nil {
-			return fmt.Errorf("lower: parallel region %q count: %w", o.name, err)
+			return false, fmt.Errorf("lower: parallel region %q count: %w", o.name, err)
 		}
 		team = v
 	}
@@ -723,43 +852,45 @@ func (fr *frame) execParallel(o *op) error {
 		t = 1
 	}
 	if o.body < 0 {
-		return o.bodyErr
+		return false, o.bodyErr
 	}
 	fr.arm(t)
 	for tid := 0; tid < t; tid++ {
-		worker := fr.child(o, o.body, 0, tid)
-		rt.eng.SpawnNamer(worker, worker.start)
+		fr.child(o, o.body, 0, tid)
 	}
-	fr.join.Wait(fr.p)
-	return fr.childErr
+	return fr.awaitJoin()
 }
 
-// execFork runs each branch as a process on a child frame, waits on the
-// frame's join latch, and fails with the first branch error in engine
-// order. Branches get recycled frames and lazily built names, so a fork
-// allocates only its sim.Process records.
-func (fr *frame) execFork(o *op) (int, error) {
-	rt := fr.rt
+// fork runs each branch as a process on a recycled child frame and waits
+// on the join; the first branch error in engine order fails it.
+func (fr *frame) fork(o *op) (bool, error) {
 	fr.arm(o.forkTotal)
 	for i, br := range o.branches {
-		branch := fr.child(o, br, i, fr.tid)
-		rt.eng.SpawnNamer(branch, branch.start)
+		fr.child(o, br, i, fr.tid)
 	}
 	if o.err != nil {
 		// Dangling fork edge: fail after spawning the earlier branches,
 		// without waiting on the join — execution order matches fork().
 		// The spawned branches still count down fr.join, which is why
-		// runChild never recycles a frame whose run failed.
-		return 0, o.err
+		// Resume never recycles a frame whose run failed.
+		return false, o.err
 	}
-	fr.join.Wait(fr.p)
-	if err := fr.childErr; err != nil {
-		return 0, err
-	}
-	return o.next, nil
+	return fr.awaitJoin()
 }
 
-func (fr *frame) execLoop(o *op) error {
+// awaitJoin waits for the frame's branches or threads, if any is left,
+// and returns the first error one of them returned.
+func (fr *frame) awaitJoin() (bool, error) {
+	if fr.join.BeginWait(fr.p) {
+		fr.stage = inJoin
+		return true, nil
+	}
+	return false, fr.childErr
+}
+
+// loop pushes a loop's count and its variable's value, which the loop's
+// end restores.
+func (fr *frame) loop(o *op, si int) error {
 	var v float64
 	var err error
 	if o.countDist != nil {
@@ -772,38 +903,15 @@ func (fr *frame) execLoop(o *op) error {
 	if err != nil {
 		return fmt.Errorf("lower: loop %q count: %w", o.name, err)
 	}
-	count := int(v)
 	if o.body < 0 {
 		return o.bodyErr
 	}
-	lv := o.loopVar
-	var saved float64
-	var hadSaved bool
-	if lv.name != "" {
-		saved = fr.env.Locals[lv.slot]
-		hadSaved = !lv.dyn || fr.env.Defined[lv.slot]
+	c := ctl{o: o, seg: si, n: int(v)}
+	if lv := o.loopVar; lv.name != "" {
+		c.saved = fr.env.Locals[lv.slot]
+		c.hadSaved = !lv.dyn || fr.env.Defined[lv.slot]
 	}
-	for i := 0; i < count; i++ {
-		if err := fr.step(o.name); err != nil {
-			return err
-		}
-		if lv.name != "" {
-			fr.env.Locals[lv.slot] = float64(i)
-			if lv.dyn {
-				fr.env.Defined[lv.slot] = true
-			}
-		}
-		if err := fr.run(o.body); err != nil {
-			return err
-		}
-	}
-	if lv.name != "" {
-		if hadSaved {
-			fr.env.Locals[lv.slot] = saved
-		} else {
-			fr.env.Defined[lv.slot] = false
-		}
-	}
+	fr.stack = append(fr.stack, c)
 	return nil
 }
 
@@ -883,8 +991,9 @@ func (pr *Program) runDirect(cfg interp.Config, sp machine.SystemParams, maxStep
 	}
 
 	_, span := obs.StartSpan(cfg.Context, "sim")
-	fr := rt.newFrame(nil, 0, 0)
-	err := fr.run(pr.mainSeg)
+	fr := rt.rootFrame(0)
+	fr.init()
+	_, err := fr.exec()
 	rt.endTrace(err)
 	span.Annotate("events", strconv.FormatInt(rt.ops, 10))
 	span.Annotate("sim_time", strconv.FormatFloat(rt.clock, 'g', -1, 64))
@@ -982,16 +1091,8 @@ func (pr *Program) runEngine(cfg interp.Config, sp machine.SystemParams, maxStep
 	}
 
 	for pid := 0; pid < sp.Processes; pid++ {
-		pid := pid
-		eng.Spawn(interp.ProcessName(pid), func(p *sim.Process) {
-			fr := rt.newFrame(p, pid, 0)
-			if err := fr.run(pr.mainSeg); err != nil {
-				p.Fail(err)
-			}
-			if now := eng.Now(); now > rt.finished {
-				rt.finished = now
-			}
-		})
+		fr := rt.rootFrame(pid)
+		fr.p = eng.SpawnContinuation(fr)
 	}
 
 	_, span := obs.StartSpan(cfg.Context, "sim")

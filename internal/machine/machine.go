@@ -218,17 +218,7 @@ func (m *Machine) CPUUtilization(node int) float64 {
 // processors) stretches wall-clock time either in completion order (FCFS)
 // or uniformly (PS) — exactly the contention effect the estimator must
 // capture.
-func (m *Machine) Compute(p *sim.Process, pid int, dt float64) {
-	if dt <= 0 {
-		return
-	}
-	node := m.NodeOf(pid)
-	if m.policy == PolicyPS {
-		m.psCpus[node].Use(p, dt)
-		return
-	}
-	m.cpus[node].Use(p, dt)
-}
+func (m *Machine) Compute(p *sim.Process, pid int, dt float64) { m.run(p, m.ComputeStep(pid, dt)) }
 
 // transferCost returns (serialization, total delivery delay) for a message
 // between two ranks.
@@ -252,56 +242,19 @@ func (m *Machine) transferCost(from, to int, size float64) (ser, delay float64) 
 // from one node queue up), and the message is delivered to the receiver's
 // mailbox after the full latency + serialization delay.
 func (m *Machine) Send(p *sim.Process, from, to int, size float64) error {
-	if to < 0 || to >= m.sp.Processes {
-		return fmt.Errorf("machine: send to rank %d outside 0..%d", to, m.sp.Processes-1)
-	}
-	ser, delay := m.transferCost(from, to, size)
-	nic := m.nics[m.NodeOf(from)]
-	nic.Use(p, ser)
-	msg := Message{From: from, To: to, Size: size, SendTime: m.eng.Now()}
-	dest := m.mbox[to]
-	remaining := delay - ser
-	if remaining < 0 {
-		remaining = 0
-	}
-	m.eng.After(remaining, func() { dest.Send(msg) })
-	return nil
+	_, err := m.run(p, m.SendStep(from, to, size))
+	return err
 }
 
 // Recv blocks until a message from rank `src` arrives at rank `to`.
 // src < 0 receives from any source. Messages from other sources that
 // arrive in the meantime are buffered and matched by later Recv calls.
 func (m *Machine) Recv(p *sim.Process, to, src int) (Message, error) {
-	if to < 0 || to >= m.sp.Processes {
-		return Message{}, fmt.Errorf("machine: recv on rank %d outside 0..%d", to, m.sp.Processes-1)
-	}
-	// Check stashed messages first.
-	for i, msg := range m.pending[to] {
-		if src < 0 || msg.From == src {
-			m.pending[to] = append(m.pending[to][:i], m.pending[to][i+1:]...)
-			return msg, nil
-		}
-	}
-	for {
-		raw := m.mbox[to].Receive(p)
-		msg, ok := raw.(Message)
-		if !ok {
-			return Message{}, fmt.Errorf("machine: rank %d received non-message %T", to, raw)
-		}
-		if src < 0 || msg.From == src {
-			return msg, nil
-		}
-		m.pending[to] = append(m.pending[to], msg)
-	}
+	return m.run(p, m.RecvStep(to, src))
 }
 
 // Barrier blocks until every process has arrived.
-func (m *Machine) Barrier(p *sim.Process) {
-	if m.sp.Processes == 1 {
-		return
-	}
-	m.barrier.Wait(p)
-}
+func (m *Machine) Barrier(p *sim.Process) { m.run(p, m.BarrierStep()) }
 
 // collectiveTime is the binomial-tree cost of moving size bytes across the
 // whole job: ceil(log2 P) rounds of (latency + size/bandwidth), using
@@ -328,16 +281,180 @@ func (m *Machine) collectiveTime(size float64) float64 {
 // Broadcast models a one-to-all broadcast of size bytes rooted anywhere:
 // participants synchronize, then every rank is charged the binomial tree
 // time.
-func (m *Machine) Broadcast(p *sim.Process, size float64) {
-	m.Barrier(p)
-	p.Hold(m.collectiveTime(size))
-}
+func (m *Machine) Broadcast(p *sim.Process, size float64) { m.run(p, m.CollectiveStep(size)) }
 
 // Reduce models an all-to-one reduction; cost shape equals the broadcast
 // tree.
-func (m *Machine) Reduce(p *sim.Process, size float64) {
-	m.Barrier(p)
-	p.Hold(m.collectiveTime(size))
+func (m *Machine) Reduce(p *sim.Process, size float64) { m.run(p, m.CollectiveStep(size)) }
+
+// run carries s out on a coroutine process, suspending it at every wait,
+// and returns the message a receive took.
+func (m *Machine) run(p *sim.Process, s Step) (Message, error) {
+	for {
+		wait, err := m.Resume(p, &s)
+		if !wait {
+			return s.Msg, err
+		}
+		p.Suspend()
+	}
+}
+
+// stepKind is the operation a Step carries out.
+type stepKind uint8
+
+const (
+	stepNone       stepKind = iota // nothing (left to do)
+	stepUse                        // FCFS service: acquire, hold, release
+	stepSend                       // NIC service, then delivery
+	stepPS                         // processor-sharing job
+	stepRecv                       // receive from a source
+	stepBarrier                    // wait for every process
+	stepCollective                 // barrier, then the tree time
+)
+
+// Step is a machine operation under way, kept across its waits. The step
+// forms (ComputeStep, SendStep, ...) make one, and Resume carries it on
+// each time the process runs. The blocking methods run the same steps, so
+// continuation and coroutine processes share every machine rule.
+type Step struct {
+	kind  stepKind
+	phase uint8
+	fac   *sim.Facility
+	ps    *sim.PSFacility
+	dt    float64 // service or hold time
+	delay float64 // send: wire time after the NIC service
+	rank  int     // recv: the receiving rank
+	src   int     // recv: the source rank, < 0 for any
+	err   error   // a rank out of range: Resume reports it
+	Msg   Message // what a send carries, or what a receive took
+}
+
+// ComputeStep is the step form of Compute.
+func (m *Machine) ComputeStep(pid int, dt float64) Step {
+	if dt <= 0 {
+		return Step{}
+	}
+	node := m.NodeOf(pid)
+	if m.policy == PolicyPS {
+		return Step{kind: stepPS, ps: m.psCpus[node], dt: dt}
+	}
+	return UseStep(m.cpus[node], dt)
+}
+
+// UseStep is the step form of f.Use(p, dt), for a facility such as a
+// critical section that is not the machine's own.
+func UseStep(f *sim.Facility, dt float64) Step {
+	return Step{kind: stepUse, fac: f, dt: dt}
+}
+
+// SendStep is the step form of Send.
+func (m *Machine) SendStep(from, to int, size float64) Step {
+	if to < 0 || to >= m.sp.Processes {
+		return Step{err: fmt.Errorf("machine: send to rank %d outside 0..%d", to, m.sp.Processes-1)}
+	}
+	ser, delay := m.transferCost(from, to, size)
+	return Step{
+		kind: stepSend, fac: m.nics[m.NodeOf(from)], dt: ser, delay: max(delay-ser, 0),
+		Msg: Message{From: from, To: to, Size: size},
+	}
+}
+
+// RecvStep is the step form of Recv; the message is in the step's Msg
+// once Resume reports no further wait.
+func (m *Machine) RecvStep(to, src int) Step {
+	if to < 0 || to >= m.sp.Processes {
+		return Step{err: fmt.Errorf("machine: recv on rank %d outside 0..%d", to, m.sp.Processes-1)}
+	}
+	return Step{kind: stepRecv, rank: to, src: src}
+}
+
+// BarrierStep is the step form of Barrier.
+func (m *Machine) BarrierStep() Step { return Step{kind: stepBarrier} }
+
+// CollectiveStep is the step form of Broadcast and Reduce, which cost the
+// same.
+func (m *Machine) CollectiveStep(size float64) Step {
+	return Step{kind: stepCollective, dt: m.collectiveTime(size)}
+}
+
+// Resume carries s on for p until p must wait, which it reports, or the
+// operation is over.
+func (m *Machine) Resume(p *sim.Process, s *Step) (wait bool, err error) {
+	if s.err != nil {
+		return false, s.err
+	}
+	switch s.kind {
+	case stepUse, stepSend:
+		switch s.phase {
+		case 0:
+			s.phase = 1
+			if s.fac.BeginAcquire(p) {
+				return true, nil
+			}
+			fallthrough
+		case 1:
+			s.phase = 2
+			p.BeginHold(s.dt)
+			return true, nil
+		}
+		s.fac.EndUse(p)
+		if s.kind == stepSend {
+			msg, dest := s.Msg, m.mbox[s.Msg.To]
+			msg.SendTime = m.eng.Now()
+			m.eng.After(s.delay, func() { dest.Send(msg) })
+		}
+	case stepPS:
+		if s.phase == 0 {
+			s.phase = 1
+			if s.ps.BeginUse(p, s.dt) {
+				return true, nil
+			}
+		}
+	case stepRecv:
+		if m.recv(p, s) {
+			return true, nil
+		}
+	case stepBarrier, stepCollective:
+		if s.phase == 0 {
+			s.phase = 1
+			if m.sp.Processes > 1 && m.barrier.BeginWait(p) {
+				return true, nil
+			}
+		}
+		if s.kind == stepCollective && s.phase == 1 {
+			s.phase = 2
+			p.BeginHold(s.dt)
+			return true, nil
+		}
+	}
+	s.kind = stepNone
+	return false, nil
+}
+
+// recv takes the first message from the source s wants, stashed ones
+// first, and stashes those from other sources for later receives. i is
+// the first stashed message not yet matched against s.
+func (m *Machine) recv(p *sim.Process, s *Step) (wait bool) {
+	stash, i := &m.pending[s.rank], 0
+	if s.phase == 1 { // a message arrived while p waited
+		i = len(*stash)
+		*stash = append(*stash, p.TakeMessage().(Message))
+	}
+	s.phase = 1
+	for {
+		for ; i < len(*stash); i++ {
+			if msg := (*stash)[i]; s.src < 0 || msg.From == s.src {
+				*stash = append((*stash)[:i], (*stash)[i+1:]...)
+				s.Msg = msg
+				return false
+			}
+		}
+		raw, wait := m.mbox[s.rank].BeginReceive(p)
+		if wait {
+			return true
+		}
+		*stash = append(*stash, raw.(Message))
+	}
 }
 
 // CollectiveTime exposes the analytic collective cost for tests and

@@ -19,6 +19,11 @@ type worker struct {
 // e.due, nil when the loop is over.
 func (e *Engine) dispatch(next *Process) {
 	for next != nil {
+		if next.cont != nil {
+			e.resume(next)
+			next = e.advance(next)
+			continue
+		}
 		w := next.w
 		if w == nil {
 			w = e.start(next)
@@ -50,7 +55,7 @@ func (e *Engine) start(p *Process) *worker {
 func (e *Engine) work(w *worker) {
 	for e.exec(w) {
 		next := e.advance(w.p)
-		if next != nil && next.w == nil {
+		if next != nil && next.w == nil && next.cont == nil {
 			w.p, next.w = next, w
 			continue
 		}
@@ -67,6 +72,9 @@ func (e *Engine) work(w *worker) {
 // process is due first, pause yields control to the run loop, which
 // resumes the process due.
 func (p *Process) pause() {
+	if p.cont != nil {
+		panic("sim: a continuation process cannot block; it returns from Resume to wait")
+	}
 	e := p.eng
 	if next := e.advance(p); next != p {
 		e.due = next
@@ -78,8 +86,8 @@ func (p *Process) pause() {
 
 // shutdown unwinds every process that is still parked and ends the idle
 // workers, so that no coroutine outlives Run, even after a deadlock,
-// error or panic. Processes that never started have no worker and are
-// simply marked done.
+// error or panic. Processes that never started and continuations have no
+// worker and are simply marked done.
 func (e *Engine) shutdown() {
 	for _, p := range e.alive {
 		if p.state == stateDone {

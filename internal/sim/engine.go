@@ -12,16 +12,22 @@
 //     (Mailbox), modeling point-to-point communication
 //   - barriers and events for collective synchronization
 //
-// Processes run on coroutines (iter.Pull), and exactly one of them, or
-// the goroutine that called Run, runs at any instant. Control passes by
-// coroutine switch, never through the Go scheduler. A process that pauses
-// runs the event loop itself, executing callbacks inline until the next
-// process event. If that event is its own wakeup it simply carries on;
-// otherwise it yields to Run's loop, which resumes the process due. A
-// finished process's coroutine waits on the engine's idle list for the
-// next process to start. Together with a deterministic (time,
-// sequence)-ordered event queue this makes every simulation run
-// bit-for-bit reproducible.
+// A process is either a coroutine or a continuation. A coroutine process
+// (Spawn) is straight-line Go code on an iter.Pull coroutine, and its
+// blocking methods (Hold, Acquire, Receive, ...) suspend it. A
+// continuation (SpawnContinuation) is a state machine whose Resume the
+// engine calls by plain function call; it waits through the non-blocking
+// Begin methods (BeginHold, BeginAcquire, BeginReceive, ...) that the
+// blocking methods are built on, so both kinds follow the same rules in
+// the same event order. Exactly one process, or the goroutine that called
+// Run, runs at any instant, and control never passes through the Go
+// scheduler. A coroutine process that pauses runs the event loop itself,
+// executing callbacks inline until the next process event. If that event
+// is its own wakeup it simply carries on; otherwise it yields to Run's
+// loop, which resumes the process due. A finished process's coroutine
+// waits on the engine's idle list for the next process to start. Together
+// with a deterministic (time, sequence)-ordered event queue this makes
+// every simulation run bit-for-bit reproducible.
 package sim
 
 import (
@@ -245,24 +251,34 @@ func (e *Engine) After(dt float64, fn func()) { e.At(e.now+dt, fn) }
 // Spawn creates a process executing fn. The process starts at the current
 // simulated time, after the caller yields control.
 func (e *Engine) Spawn(name string, fn func(*Process)) *Process {
-	return e.spawn(name, nil, fn)
+	return e.spawn(&Process{eng: e, name: name, named: true, body: fn})
 }
 
-// Namer supplies a process name on demand (see SpawnNamer).
-type Namer interface{ Name() string }
-
-// SpawnNamer is Spawn for a process whose name is costly to build and
-// rarely read: n.Name is called the first time the name is read — by
+// Continuation is a process body written as a state machine, which the
+// engine calls with no coroutine behind it. Resume runs at the process's
+// start and each time a wait it began ends: it runs until a Begin method
+// (BeginHold, Facility.BeginAcquire, ...) reports a wait, and returns
+// true, or until the process ends. A non-nil error fails the run, as
+// Process.Fail does. Resume must not call the blocking methods (Hold,
+// Acquire, ...).
+//
+// Name is called the first time the process's name is read — by
 // Process.Name, a ProcessError, a panic report or a DeadlockError — and
-// the result is kept. n must return the process's name for as long as the
-// process is alive. With an observer installed the name is read at spawn,
-// so an observer that keeps the process sees the same name later.
-func (e *Engine) SpawnNamer(n Namer, fn func(*Process)) *Process {
-	return e.spawn("", n, fn)
+// the result is kept, so a name that is costly to build and rarely read
+// costs nothing; it must return the process's name for as long as the
+// process is alive. With an observer installed the name is read at spawn.
+type Continuation interface {
+	Name() string
+	Resume(p *Process) (wait bool, err error)
 }
 
-func (e *Engine) spawn(name string, n Namer, fn func(*Process)) *Process {
-	p := &Process{eng: e, name: name, namer: n, body: fn, state: stateReady}
+// SpawnContinuation creates a process whose body is c. The process starts
+// at the current simulated time, after the caller yields control.
+func (e *Engine) SpawnContinuation(c Continuation) *Process {
+	return e.spawn(&Process{eng: e, cont: c})
+}
+
+func (e *Engine) spawn(p *Process) *Process {
 	e.alive = append(e.alive, p)
 	if e.obs != nil {
 		p.Name()
@@ -365,6 +381,21 @@ func (e *Engine) advance(cur *Process) (next *Process) {
 	return nil
 }
 
+// resume runs continuation process p until it waits, or ends, fails or
+// panics, which finishes it.
+func (e *Engine) resume(p *Process) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.finish(p, r)
+		}
+	}()
+	if wait, err := p.cont.Resume(p); err != nil {
+		e.finish(p, failure{err: err})
+	} else if !wait {
+		e.finish(p, nil)
+	}
+}
+
 // exec runs the body of w's process to its end. A panic or Process.Fail
 // becomes the run's error; exec reports false when shutdown unwound the
 // process.
@@ -372,22 +403,13 @@ func (e *Engine) exec(w *worker) (finished bool) {
 	p := w.p
 	defer func() {
 		r := recover()
-		p.state = stateDone
 		if r == errPoisoned {
+			p.state = stateDone
 			return
 		}
 		goexit := r == nil && !finished
 		finished = true
-		if r != nil && e.err == nil {
-			if f, isFail := r.(failure); isFail {
-				// A cooperative abort via Process.Fail: keep the error
-				// chain intact so callers can errors.Is/As through it.
-				e.err = &ProcessError{Process: p.Name(), Err: f.err}
-			} else {
-				e.err = fmt.Errorf("sim: process %q panicked: %v", p.Name(), r)
-			}
-		}
-		e.trace(p, evDone)
+		e.finish(p, r)
 		if goexit {
 			// runtime.Goexit ends this coroutine, and iter.Pull would
 			// re-raise it in the run loop: hand control on first, and
@@ -401,6 +423,23 @@ func (e *Engine) exec(w *worker) (finished bool) {
 	p.body = nil
 	body(p)
 	return true
+}
+
+// finish marks p done. r is what its body panicked with, nil when it
+// returned: a failure (Process.Fail, a continuation's error) becomes a
+// ProcessError, any other value a panic report.
+func (e *Engine) finish(p *Process, r interface{}) {
+	p.state = stateDone
+	if r != nil && e.err == nil {
+		if f, isFail := r.(failure); isFail {
+			// A cooperative abort: keep the error chain intact so
+			// callers can errors.Is/As through it.
+			e.err = &ProcessError{Process: p.Name(), Err: f.err}
+		} else {
+			e.err = fmt.Errorf("sim: process %q panicked: %v", p.Name(), r)
+		}
+	}
+	e.trace(p, evDone)
 }
 
 // compactAlive drops finished processes from the process table once they

@@ -352,28 +352,30 @@ func TestStreamsReproducible(t *testing.T) {
 	}
 }
 
-// countingNamer builds its name on demand and counts the calls.
-type countingNamer struct {
-	name  string
+// countingCont is a continuation that builds its name on demand and
+// counts the calls.
+type countingCont struct {
+	cont
 	calls int
 }
 
-func (n *countingNamer) Name() string { n.calls++; return n.name }
+func (n *countingCont) Name() string { n.calls++; return n.name }
 
-// A SpawnNamer process is named once, on the first read, and every
-// reader — Process.Name, DeadlockError, ProcessError — sees that name.
-func TestSpawnNamerNamesOnRead(t *testing.T) {
+// A continuation is named once, on the first read, and every reader —
+// Process.Name, DeadlockError, ProcessError — sees that name.
+func TestContinuationNamesOnRead(t *testing.T) {
 	e := New()
 	mb := e.NewMailbox("never")
-	quiet := &countingNamer{name: "quiet"}
-	stuck := &countingNamer{name: "stuck"}
-	e.SpawnNamer(quiet, func(p *Process) { p.Hold(1) })
-	e.SpawnNamer(stuck, func(p *Process) {
+	quiet := &countingCont{cont: *holdThen("quiet", func() (bool, error) { return false, nil })}
+	stuck := &countingCont{cont: cont{name: "stuck", resume: func(p *Process) (bool, error) {
 		if p.Name() != "stuck" || p.Name() != "stuck" {
 			t.Errorf("Name() = %q", p.Name())
 		}
-		mb.Receive(p)
-	})
+		_, wait := mb.BeginReceive(p)
+		return wait, nil
+	}}}
+	e.SpawnContinuation(quiet)
+	e.SpawnContinuation(stuck)
 	_, err := e.Run()
 	var dl *DeadlockError
 	if !errors.As(err, &dl) || fmt.Sprint(dl.Processes) != "[stuck]" {
@@ -384,8 +386,10 @@ func TestSpawnNamerNamesOnRead(t *testing.T) {
 	}
 
 	e = New()
-	failing := &countingNamer{name: "failing"}
-	e.SpawnNamer(failing, func(p *Process) { p.Fail(errors.New("boom")) })
+	failing := &countingCont{cont: cont{name: "failing", resume: func(*Process) (bool, error) {
+		return false, errors.New("boom")
+	}}}
+	e.SpawnContinuation(failing)
 	_, err = e.Run()
 	var pe *ProcessError
 	if !errors.As(err, &pe) || pe.Process != "failing" || failing.calls != 1 {
@@ -394,7 +398,7 @@ func TestSpawnNamerNamesOnRead(t *testing.T) {
 }
 
 // With an observer installed, the name is fixed at spawn.
-func TestSpawnNamerObserverNamesAtSpawn(t *testing.T) {
+func TestContinuationObserverNamesAtSpawn(t *testing.T) {
 	e := New()
 	var seen []string
 	e.SetObserver(eventFunc(func(_ float64, p *Process, what string) {
@@ -402,8 +406,8 @@ func TestSpawnNamerObserverNamesAtSpawn(t *testing.T) {
 			seen = append(seen, p.Name())
 		}
 	}), 0)
-	n := &countingNamer{name: "branch"}
-	e.SpawnNamer(n, func(p *Process) {})
+	n := &countingCont{cont: cont{name: "branch", resume: func(*Process) (bool, error) { return false, nil }}}
+	e.SpawnContinuation(n)
 	n.name = "reused"
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -52,15 +52,24 @@ func (f *Facility) account() {
 
 // Acquire takes one server, blocking FCFS while all servers are busy.
 func (f *Facility) Acquire(p *Process) {
+	if f.BeginAcquire(p) {
+		p.pause()
+	}
+}
+
+// BeginAcquire is Acquire's non-blocking half: it takes a free server, or
+// queues the process and reports that it must wait. The process holds the
+// server once it is resumed: Release hands it over directly and records
+// the queue time.
+func (f *Facility) BeginAcquire(p *Process) (wait bool) {
 	if f.busy < f.servers && len(f.waiting) == 0 {
 		f.account()
 		f.busy++
-		return
+		return false
 	}
 	f.waiting = append(f.waiting, waiter{p: p, since: f.eng.now})
 	p.block()
-	// Woken by Release: the releasing side already transferred the server
-	// to us and recorded the queue time.
+	return true
 }
 
 // Release returns one server and hands it to the longest-waiting process,
@@ -90,6 +99,13 @@ func (f *Facility) Release(p *Process) {
 func (f *Facility) Use(p *Process, serviceTime float64) {
 	f.Acquire(p)
 	p.Hold(serviceTime)
+	f.EndUse(p)
+}
+
+// EndUse releases the server of a finished service and counts it: the
+// last step of Use, for a process that took the server with BeginAcquire
+// and held it with BeginHold.
+func (f *Facility) EndUse(p *Process) {
 	f.Release(p)
 	f.services++
 }

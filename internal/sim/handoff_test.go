@@ -103,6 +103,38 @@ func TestNoGoroutineOutlivesRun(t *testing.T) {
 			e.Run()
 			return errors.New("callback panic did not leave Run")
 		}},
+		// The same endings with continuation processes, whose errors read
+		// as their coroutine twins' do.
+		{"continuation-deadlock", func(e *Engine) {
+			mb := e.NewMailbox("mb")
+			for i := 0; i < 10; i++ {
+				e.SpawnContinuation(&cont{name: fmt.Sprint(i), resume: func(p *Process) (bool, error) {
+					_, wait := mb.BeginReceive(p)
+					return wait, nil
+				}})
+			}
+		}, wantText("sim: deadlock at t=0: blocked processes: 0, 1, 2, 3, 4, 5, 6, 7, 8, 9")},
+		{"continuation-interrupt", func(e *Engine) {
+			for i := 0; i < 5; i++ {
+				e.SpawnContinuation(&cont{name: fmt.Sprint(i), resume: func(p *Process) (bool, error) {
+					p.BeginHold(1)
+					return true, nil
+				}})
+			}
+			e.At(7, func() { e.Interrupt(errors.New("stop")) })
+		}, wantText("sim: run interrupted at t=7: stop")},
+		{"continuation-error", func(e *Engine) {
+			for i := 0; i < 5; i++ {
+				e.Spawn(fmt.Sprint(i), func(p *Process) { p.Hold(10) })
+			}
+			e.SpawnContinuation(holdThen("bad", func() (bool, error) { return false, errors.New("bad") }))
+		}, wantText(`sim: process "bad" failed: bad`)},
+		{"continuation-panic", func(e *Engine) {
+			for i := 0; i < 5; i++ {
+				e.Spawn(fmt.Sprint(i), func(p *Process) { p.Hold(10) })
+			}
+			e.SpawnContinuation(holdThen("bad", func() (bool, error) { panic("bad") }))
+		}, wantText(`sim: process "bad" panicked: bad`)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -130,6 +162,30 @@ func wantErr[E error](e *Engine) error {
 		return fmt.Errorf("want %T, got %v", target, err)
 	}
 	return nil
+}
+
+// wantText runs e to the end and checks the run's error text.
+func wantText(text string) func(e *Engine) error {
+	return func(e *Engine) error {
+		if _, err := e.Run(); err == nil || err.Error() != text {
+			return fmt.Errorf("Run error = %v, want %s", err, text)
+		}
+		return nil
+	}
+}
+
+// holdThen is a continuation that holds for one time unit and then
+// returns what end returns.
+func holdThen(name string, end func() (bool, error)) *cont {
+	held := false
+	return &cont{name: name, resume: func(p *Process) (bool, error) {
+		if held {
+			return end()
+		}
+		held = true
+		p.BeginHold(1)
+		return true, nil
+	}}
 }
 
 // TestWorkerReuseBoundsGoroutines runs 10,000 spawn-and-finish cycles on

@@ -6,7 +6,7 @@ import "errors"
 var errPoisoned = errors.New("sim: engine shut down")
 
 // procState tracks where a process is in its lifecycle.
-type procState int
+type procState uint8
 
 const (
 	// stateReady: spawned, not yet dispatched for the first time.
@@ -27,10 +27,11 @@ const (
 type Process struct {
 	eng   *Engine
 	name  string
-	namer Namer          // supplies name on first read (SpawnNamer)
 	body  func(*Process) // until the first dispatch
 	w     *worker        // coroutine running the process; nil until it starts
+	cont  Continuation   // the body of a continuation process (SpawnContinuation)
 	state procState
+	named bool // name holds the name; a continuation's is read on demand
 
 	// msg carries a mailbox delivery to a woken receiver.
 	msg interface{}
@@ -52,11 +53,11 @@ func (p *Process) Fail(err error) {
 	panic(failure{err: err})
 }
 
-// Name returns the process name given at Spawn, or the one its Namer
-// supplies on the first call.
+// Name returns the process name given at Spawn, or the one a
+// continuation supplies on the first call.
 func (p *Process) Name() string {
-	if p.namer != nil {
-		p.name, p.namer = p.namer.Name(), nil
+	if !p.named {
+		p.name, p.named = p.cont.Name(), true
 	}
 	return p.name
 }
@@ -71,19 +72,36 @@ func (p *Process) Now() float64 { return p.eng.now }
 // and resumes after dt simulated time units. This is CSIM's hold(): it is
 // how an ActionPlus element charges its cost-function time to the clock.
 func (p *Process) Hold(dt float64) {
+	p.BeginHold(dt)
+	p.pause()
+}
+
+// BeginHold is Hold's non-blocking half: it schedules the process's
+// wakeup dt time units from now, and the process must then wait.
+func (p *Process) BeginHold(dt float64) {
 	dt = max(dt, 0)
 	p.state = stateHolding
 	p.eng.trace(p, evHold)
 	p.eng.schedule(p.eng.now+dt, p, nil)
-	p.pause()
 }
 
-// block parks the process with no scheduled wakeup; some synchronization
-// object is responsible for scheduling its resume.
+// Suspend parks a coroutine process until the wait a Begin method
+// reported ends: a blocking method is its Begin method plus Suspend.
+func (p *Process) Suspend() { p.pause() }
+
+// block marks the process waiting with no scheduled wakeup; some
+// synchronization object is responsible for scheduling its resume.
 func (p *Process) block() {
 	p.state = stateBlocked
 	p.eng.trace(p, evBlock)
-	p.pause()
+}
+
+// TakeMessage returns the message a mailbox handed to the process while
+// it waited in BeginReceive, and forgets it.
+func (p *Process) TakeMessage() interface{} {
+	msg := p.msg
+	p.msg = nil
+	return msg
 }
 
 // unblock schedules the process to resume at the current time.

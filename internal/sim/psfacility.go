@@ -126,14 +126,24 @@ func (f *PSFacility) complete(gen uint64) {
 // Use runs one job of the given service demand to completion under
 // processor sharing; the calling process blocks until its job finishes.
 func (f *PSFacility) Use(p *Process, serviceTime float64) {
+	if f.BeginUse(p, serviceTime) {
+		p.pause()
+	}
+}
+
+// BeginUse is Use's non-blocking half: it starts the job and reports
+// that the process must wait for it to finish (false when there is no
+// work to do).
+func (f *PSFacility) BeginUse(p *Process, serviceTime float64) (wait bool) {
 	if serviceTime <= 0 {
-		return
+		return false
 	}
 	f.advance()
 	job := &psJob{remaining: serviceTime, proc: p}
 	f.jobs[job] = struct{}{}
 	f.reschedule()
 	p.block()
+	return true
 }
 
 // ActiveJobs returns the number of jobs currently in service.

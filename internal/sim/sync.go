@@ -29,16 +29,25 @@ func (b *Barrier) Name() string { return b.name }
 
 // Wait blocks until all parties have arrived.
 func (b *Barrier) Wait(p *Process) {
+	if b.BeginWait(p) {
+		p.pause()
+	}
+}
+
+// BeginWait is Wait's non-blocking half: it records the arrival and
+// reports whether the process must wait for the others. The last to
+// arrive releases the generation and does not wait.
+func (b *Barrier) BeginWait(p *Process) (wait bool) {
 	b.arrived++
 	if b.arrived < b.parties {
 		b.waiting = append(b.waiting, p)
 		p.block()
-		return
+		return true
 	}
-	// Last arriver releases the generation.
 	b.waiting = wake(b.waiting)
 	b.arrived = 0
 	b.cycles++
+	return false
 }
 
 // Cycles returns the number of completed barrier generations.
@@ -71,6 +80,7 @@ func (ev *Event) Wait(p *Process) {
 	}
 	ev.waiting = append(ev.waiting, p)
 	p.block()
+	p.pause()
 }
 
 // Set marks the event and wakes every waiter. Safe to call from At/After
@@ -128,9 +138,18 @@ func (c *Counter) Reset(n int) {
 
 // Wait blocks until the counter has reached zero.
 func (c *Counter) Wait(p *Process) {
+	if c.BeginWait(p) {
+		p.pause()
+	}
+}
+
+// BeginWait is Wait's non-blocking half: it reports whether the process
+// must wait for the counter to reach zero, queuing it if so.
+func (c *Counter) BeginWait(p *Process) (wait bool) {
 	if c.n <= 0 {
-		return
+		return false
 	}
 	c.waiting = append(c.waiting, p)
 	p.block()
+	return true
 }

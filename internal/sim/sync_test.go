@@ -290,3 +290,56 @@ func TestCounterResetUndrainedPanics(t *testing.T) {
 	}()
 	c.Reset(2)
 }
+
+// A steady message stream reuses the mailbox's queues: a ping-pong of
+// pre-boxed messages allocates as much at 10,000 messages as at 1,000.
+func TestMailboxStreamDoesNotAllocatePerMessage(t *testing.T) {
+	var msg interface{} = "x"
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			e := New()
+			ping, pong := e.NewMailbox("ping"), e.NewMailbox("pong")
+			e.Spawn("a", func(p *Process) {
+				for i := 0; i < n; i++ {
+					ping.Send(msg)
+					pong.Receive(p)
+				}
+			})
+			e.Spawn("b", func(p *Process) {
+				for i := 0; i < n; i++ {
+					ping.Receive(p)
+					pong.Send(msg)
+				}
+			})
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(10_000); large > small {
+		t.Errorf("allocs per run: %v at 1,000 messages, %v at 10,000; want no growth", small, large)
+	}
+}
+
+// fifo keeps FIFO order across any mix of pushes and pops, through the
+// compactions that reuse its array.
+func TestFifoOrder(t *testing.T) {
+	var q fifo[int]
+	var ref []int
+	next := 0
+	for i := 0; i < 5000; i++ {
+		if i%7 < 4 || len(ref) == 0 {
+			q.push(next)
+			ref = append(ref, next)
+			next++
+			continue
+		}
+		if got := q.pop(); got != ref[0] {
+			t.Fatalf("step %d: pop = %d, want %d", i, got, ref[0])
+		}
+		ref = ref[1:]
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: len = %d, want %d", i, q.len(), len(ref))
+		}
+	}
+}
